@@ -1,7 +1,9 @@
 """Lattice point enumeration and the degree-2 counting polynomials.
 
-Enumeration (an exact row scan) is the single source of truth here. The
-closed forms for the Ehrhart and lattice-sum polynomials are built from a
+Enumeration is the single source of truth here. One integer row scan
+yields each row's first and last lattice point; `lattice_moments` sums the
+rows in closed form into (count, sum of x, sum of y), and every count or
+sum below is one call to it. The closed forms for the Ehrhart and lattice-sum polynomials are built from a
 couple of enumerated values and then cross-checked against enumeration at
 further dilations; a mismatch raises InternalInconsistency instead of
 returning a silently wrong polynomial.
@@ -10,9 +12,10 @@ returning a silently wrong polynomial.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 
 from .errors import EnumerationLimitExceeded, InternalInconsistency, NotLatticePolygon
 from .geometry import (
@@ -21,6 +24,7 @@ from .geometry import (
     Vec2,
     ZERO_VEC,
     area,
+    denominator_lcm,
     is_lattice,
     moment_integral,
 )
@@ -75,58 +79,100 @@ class VecPoly:
         return self.c2 == ZERO_VEC and self.c1 == ZERO_VEC and self.c0 == ZERO_VEC
 
 
-def lattice_points(polygon: Polygon, i: int) -> list[tuple[int, int]]:
-    """All integer points of the i-th dilation, lexicographically sorted.
+def _rows(polygon: Polygon, i: int) -> Iterator[tuple[int, int, int]]:
+    """Nonempty rows (y, first, last) of the i-th dilation's lattice points,
+    bottom to top.
 
-    Exact row scan: the integer y range comes from rational vertex bounds,
-    and each row's x interval from intersecting the edge half-planes.
+    Integer row scan: the vertices are scaled by i and by the lcm L of their
+    denominators, so (x, y) lies in the dilation exactly when (L*x, L*y)
+    lies in the scaled polygon, and each row's x bounds are one floor
+    division on the right chain and one on the left. The budget is charged
+    for every row before the scan starts, then for the points as they are
+    counted.
     """
     if i < 1:
         raise ValueError("dilation factor must be a positive integer")
-    verts = [v * i for v in polygon.vertices]
-    n = len(verts)
-    edges = [(verts[j], verts[(j + 1) % n] - verts[j]) for j in range(n)]
-    y_lo = ceil(min(v.y for v in verts))
-    y_hi = floor(max(v.y for v in verts))
-
+    scale_l = denominator_lcm(polygon)
+    verts = [
+        (v.x.numerator * (scale_l // v.x.denominator) * i,
+         v.y.numerator * (scale_l // v.y.denominator) * i)
+        for v in polygon.vertices
+    ]
+    y_lo = -(-min(y for _, y in verts) // scale_l)
+    y_hi = max(y for _, y in verts) // scale_l
+    rows = max(0, y_hi - y_lo + 1)
     budget = enumeration_budget()
-    total = 0
-    points: list[tuple[int, int]] = []
+    if rows > budget:
+        raise EnumerationLimitExceeded(
+            f"enumeration scans {rows} rows, over the cap of {budget} rows plus points "
+            f"(set {MAX_ENUM_ENV} to raise the cap)"
+        )
+
+    # interior is on the left of each CCW edge (px, py) -> (px+dx, py+dy):
+    # dx*(L*y - py) - dy*(L*x - px) >= 0. With a = px*dy - dx*py that is
+    # x <= (a + dx*L*y) / (dy*L) on the right chain (dy > 0) and
+    # x >= -(a + dx*L*y) / (|dy|*L) on the left chain (dy < 0). Horizontal
+    # edges lie on the first or last row and bound nothing. Each chain is
+    # stored as (top L*y of the edge, a, dx*L, |dy|*L), sorted bottom to top.
+    right: list[tuple[int, int, int, int]] = []
+    left: list[tuple[int, int, int, int]] = []
+    n = len(verts)
+    for j in range(n):
+        px, py = verts[j]
+        qx, qy = verts[(j + 1) % n]
+        dx, dy = qx - px, qy - py
+        if dy > 0:
+            right.append((qy, px * dy - dx * py, dx * scale_l, dy * scale_l))
+        elif dy < 0:
+            left.append((py, px * dy - dx * py, dx * scale_l, -dy * scale_l))
+    right.sort()
+    left.sort()
+
+    total = rows
+    r = l = 0
     for y in range(y_lo, y_hi + 1):
-        x_lo: Fraction | None = None
-        x_hi: Fraction | None = None
-        feasible = True
-        for p, d in edges:
-            # interior is on the left of each CCW edge: d.x*(y-p.y) - d.y*(x-p.x) >= 0
-            if d.y == 0:
-                if (d.x > 0 and y < p.y) or (d.x < 0 and y > p.y):
-                    feasible = False
-                    break
-            else:
-                bound = p.x + d.x * (y - p.y) / d.y
-                if d.y > 0:
-                    x_hi = bound if x_hi is None else min(x_hi, bound)
-                else:
-                    x_lo = bound if x_lo is None else max(x_lo, bound)
-        if not feasible or x_lo is None or x_hi is None:
-            continue
-        first = ceil(x_lo)
-        last = floor(x_hi)
+        row = y * scale_l
+        while right[r][0] < row:
+            r += 1
+        while left[l][0] < row:
+            l += 1
+        _, a, c, b = right[r]
+        last = (a + c * y) // b
+        _, a, c, b = left[l]
+        first = -((a + c * y) // b)
         if last < first:
             continue
         total += last - first + 1
         if total > budget:
             raise EnumerationLimitExceeded(
-                f"enumeration exceeds {budget} points (set {MAX_ENUM_ENV} to raise the cap)"
+                f"enumeration exceeds {budget} rows scanned plus points counted "
+                f"(set {MAX_ENUM_ENV} to raise the cap)"
             )
-        points.extend((x, y) for x in range(first, last + 1))
+        yield y, first, last
+
+
+def lattice_moments(polygon: Polygon, i: int) -> tuple[int, int, int]:
+    """(count, sum of x, sum of y) over the integer points of the i-th
+    dilation, each row summed in closed form; no point list is built."""
+    count = sx2 = sy = 0
+    for y, first, last in _rows(polygon, i):
+        length = last - first + 1
+        count += length
+        sx2 += (first + last) * length
+        sy += y * length
+    return count, sx2 // 2, sy
+
+
+def lattice_points(polygon: Polygon, i: int) -> list[tuple[int, int]]:
+    """All integer points of the i-th dilation, lexicographically sorted."""
+    points = [(x, y) for y, first, last in _rows(polygon, i) for x in range(first, last + 1)]
     points.sort()
     return points
 
 
 def ehrhart_eval(polygon: Polygon, i: int) -> int:
     """Number of lattice points of the i-th dilation."""
-    return len(lattice_points(polygon, i))
+    return lattice_moments(polygon, i)[0]
 
 
 def ehrhart_poly(polygon: Polygon) -> ScalarPoly:
@@ -151,11 +197,7 @@ def ehrhart_poly(polygon: Polygon) -> ScalarPoly:
 def sum_points(polygon: Polygon, i: int) -> Vec2:
     """Sum of the sample points of the i-th subdivision: the lattice points
     of the i-th dilation divided by i."""
-    sx = 0
-    sy = 0
-    for x, y in lattice_points(polygon, i):
-        sx += x
-        sy += y
+    _, sx, sy = lattice_moments(polygon, i)
     return Vec2(Fraction(sx, i), Fraction(sy, i))
 
 
@@ -185,24 +227,22 @@ def p_delta(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
     The points are enumerated; because f is affine the pointwise sum
     factors exactly as f_linear(sum of points) + count * offset.
     """
-    points = lattice_points(polygon, i)
-    sx = 0
-    sy = 0
-    for x, y in points:
-        sx += x
-        sy += y
-    total = Vec2(Fraction(sx, i), Fraction(sy, i))
-    return f.linear_apply(total) + f.offset * len(points)
+    count, sx, sy = lattice_moments(polygon, i)
+    return f.linear_apply(Vec2(Fraction(sx, i), Fraction(sy, i))) + f.offset * count
+
+
+def _require_integral(*points: Vec2) -> None:
+    for v in points:
+        if v.x.denominator != 1 or v.y.denominator != 1:
+            raise ValueError("segment endpoints must be integral")
 
 
 def segment_lattice_points(p: Vec2, q: Vec2) -> list[tuple[int, int]]:
     """Integer points on the closed segment from p to q (integral endpoints)."""
-    for v in (p, q):
-        if v.x.denominator != 1 or v.y.denominator != 1:
-            raise ValueError("segment endpoints must be integral")
+    _require_integral(p, q)
     dx = int(q.x - p.x)
     dy = int(q.y - p.y)
-    steps = gcd(abs(dx), abs(dy))
+    steps = gcd(dx, dy)
     if steps == 0:
         return [(int(p.x), int(p.y))]
     ux, uy = dx // steps, dy // steps
@@ -210,17 +250,17 @@ def segment_lattice_points(p: Vec2, q: Vec2) -> list[tuple[int, int]]:
 
 
 def segment_count(p: Vec2, q: Vec2, i: int) -> int:
-    """Number of sample points of the i-th subdivision on the segment."""
-    return len(segment_lattice_points(p * i, q * i))
+    """Number of sample points of the i-th subdivision on the segment: the
+    lattice length of i*(q - p) plus one."""
+    p, q = p * i, q * i
+    _require_integral(p, q)
+    return gcd(int(q.x - p.x), int(q.y - p.y)) + 1
 
 
 def segment_f_sum(p: Vec2, q: Vec2, f: AffineMap, i: int) -> Vec2:
-    """Sum of f over the sample points of the i-th subdivision of a segment."""
-    points = segment_lattice_points(p * i, q * i)
-    sx = 0
-    sy = 0
-    for x, y in points:
-        sx += x
-        sy += y
-    total = Vec2(Fraction(sx, i), Fraction(sy, i))
-    return f.linear_apply(total) + f.offset * len(points)
+    """Sum of f over the sample points of the i-th subdivision of a segment.
+
+    The points are evenly spaced, so they sum to count * (p + q) / 2.
+    """
+    count = segment_count(p, q, i)
+    return f.linear_apply((p + q) * Fraction(count, 2)) + f.offset * count

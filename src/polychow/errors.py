@@ -33,7 +33,8 @@ class InternalInconsistency(PolychowError):
 
 
 class EnumerationLimitExceeded(PolychowError):
-    """Lattice-point enumeration would exceed the configured point budget."""
+    """Lattice-point enumeration would exceed the configured budget of rows
+    scanned plus points counted."""
 
 
 class InvalidCutVertex(PolychowError):

@@ -25,10 +25,11 @@ RationalLike = Union[int, str, Fraction]
 
 def to_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, "p/q" string or Fraction to a Fraction. Floats are
-    rejected: binary floats would silently destroy exactness."""
+    rejected: binary floats would silently destroy exactness. So are bools,
+    which are ints to Python but never a coordinate."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

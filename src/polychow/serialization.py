@@ -65,6 +65,8 @@ def _load_json(path: str | Path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
 def _coordinate_pair(raw, where: str) -> Vec2:

@@ -23,8 +23,17 @@ from .errors import (
     GroupClosureOverflow,
     HypothesisNotMet,
 )
-from .geometry import IntMat2, Polygon, Vec2, ZERO_VEC, area, canonicalize, moment_integral
-from .counting import ehrhart_eval, lattice_points, segment_lattice_points, sum_points
+from .geometry import (
+    AffineMap,
+    IntMat2,
+    Polygon,
+    Vec2,
+    ZERO_VEC,
+    area,
+    canonicalize,
+    moment_integral,
+)
+from .counting import lattice_moments, segment_count, segment_f_sum
 from .blowup import Decomposition
 
 GROUP_CLOSURE_CAP = 10_000
@@ -34,13 +43,12 @@ FACTORIAL_N_PLUS_1 = 6  # (n+1)! in the plane
 
 def fo_invariant(polygon: Polygon, i: int) -> Vec2:
     """Average of the sample points minus the barycenter, at dilation i."""
-    count = ehrhart_eval(polygon, i)
+    count, sx, sy = lattice_moments(polygon, i)
     if count == 0:
         raise HypothesisNotMet(f"no sample points at dilation {i}")
-    s = sum_points(polygon, i)
     m = moment_integral(polygon)
     vol = area(polygon)
-    return Vec2(s.x / count - m.x / vol, s.y / count - m.y / vol)
+    return Vec2(Fraction(sx, i * count) - m.x / vol, Fraction(sy, i * count) - m.y / vol)
 
 
 def is_centrally_symmetric(polygon: Polygon) -> bool:
@@ -103,7 +111,7 @@ def is_weakly_symmetric(polygon: Polygon, group: SymmetryGroup) -> bool:
 def c_constant(polygon: Polygon) -> Fraction:
     """Lattice points per unit area at dilation one; equals (n+1)! for a
     unimodular simplex."""
-    return Fraction(ehrhart_eval(polygon, 1)) / area(polygon)
+    return Fraction(lattice_moments(polygon, 1)[0]) / area(polygon)
 
 
 _TEST_FUNCTIONS: tuple[tuple[str, Fraction, Fraction, Fraction], ...] = (
@@ -131,30 +139,32 @@ def sum_rule_residuals(decomposition: Decomposition) -> dict[str, Fraction]:
     polygon, the base, and the cut simplices (weighted by the respective
     points-per-area constants) plus the lattice-point sums over the seams.
     Both sides are enumerated or integrated directly; the residual of a
-    decomposition satisfying the hypotheses is zero.
+    decomposition satisfying the hypotheses is zero. The test functions
+    are affine, so each lattice-point sum is cx*(sum of x) + cy*(sum of y)
+    + c0*count.
     """
     _require_sum_rule_hypotheses(decomposition)
     d = decomposition
     c_base = c_constant(d.base)
     c_chop = c_constant(d.chopped)
+    count, sx, sy = lattice_moments(d.chopped, 1)
+    seam_count = sum(segment_count(q, r, 1) for q, r in d.seams)
+    identity = AffineMap.identity()
+    seam_sum = sum((segment_f_sum(q, r, identity, 1) for q, r in d.seams), ZERO_VEC)
 
     residuals: dict[str, Fraction] = {}
     for name, cx, cy, c0 in _TEST_FUNCTIONS:
-        def ell(x: Fraction, y: Fraction) -> Fraction:
-            return cx * x + cy * y + c0
-
         def integral(polygon: Polygon) -> Fraction:
             m = moment_integral(polygon)
             return cx * m.x + cy * m.y + c0 * area(polygon)
 
-        lhs = sum(ell(Fraction(x), Fraction(y)) for x, y in lattice_points(d.chopped, 1))
+        lhs = cx * sx + cy * sy + c0 * count
         rhs = c_chop * integral(d.chopped)
         rhs += (c_base - c_chop) * integral(d.base)
         rhs += (c_chop - FACTORIAL_N_PLUS_1) * sum(
             (integral(s) for s in d.simplices), Fraction(0)
         )
-        for q, r in d.seams:
-            rhs += sum(ell(Fraction(x), Fraction(y)) for x, y in segment_lattice_points(q, r))
+        rhs += cx * seam_sum.x + cy * seam_sum.y + c0 * seam_count
         residuals[name] = lhs - rhs
     return residuals
 
@@ -167,7 +177,7 @@ def sum_rule_constant_condition(decomposition: Decomposition) -> Fraction:
     d = decomposition
     c_base = c_constant(d.base)
     c_chop = c_constant(d.chopped)
-    seam_count = sum(len(segment_lattice_points(q, r)) for q, r in d.seams)
+    seam_count = sum(segment_count(q, r, 1) for q, r in d.seams)
     return (
         (c_base - c_chop) * area(d.base)
         + (c_chop - FACTORIAL_N_PLUS_1) * sum((area(s) for s in d.simplices), Fraction(0))

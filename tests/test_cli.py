@@ -74,6 +74,15 @@ class TestInfo:
         assert code == 1
         assert "bad.json" in err and ":" in err  # position-annotated message
 
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code = main(["info", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "deep.json" in err
+
     def test_degenerate_polygon(self, capsys, tmp_path):
         path = write(tmp_path, "flat.json", {"vertices": [["0", "0"], ["1", "0"], ["2", "0"]]})
         assert main(["info", path]) == 1

@@ -18,6 +18,7 @@ from polychow import (
     apply_affine,
     ehrhart_eval,
     ehrhart_poly,
+    lattice_moments,
     lattice_points,
     p_delta,
     scale,
@@ -62,10 +63,34 @@ class TestLatticePoints:
         with pytest.raises(EnumerationLimitExceeded):
             lattice_points(cp2_triangle, 1)
 
+    def test_budget_charges_rows(self, monkeypatch):
+        # three points on 100001 rows: the rows alone exceed the cap
+        monkeypatch.setenv("POLYCHOW_MAX_ENUM", "10")
+        sliver = Polygon.from_coords([(0, 0), (1, 100000), (0, 1)])
+        with pytest.raises(EnumerationLimitExceeded, match="rows"):
+            ehrhart_eval(sliver, 1)
+
     def test_budget_env_validation(self, cp2_triangle, monkeypatch):
         monkeypatch.setenv("POLYCHOW_MAX_ENUM", "soon")
         with pytest.raises(EnumerationLimitExceeded):
             lattice_points(cp2_triangle, 1)
+
+
+class TestLatticeMoments:
+    def test_triangle(self, cp2_triangle):
+        assert lattice_moments(cp2_triangle, 1) == (10, 10, 10)
+
+    def test_matches_point_list(self, hexagon, heptagon, octagon):
+        for polygon in (hexagon, heptagon, octagon):
+            for i in range(1, 5):
+                points = lattice_points(polygon, i)
+                assert lattice_moments(polygon, i) == (
+                    len(points), sum(x for x, _ in points), sum(y for _, y in points)
+                )
+
+    def test_rejects_nonpositive_dilation(self, unit_square):
+        with pytest.raises(ValueError):
+            lattice_moments(unit_square, 0)
 
 
 class TestEhrhart:

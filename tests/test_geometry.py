@@ -221,3 +221,7 @@ class TestPrimitive:
     def test_float_coordinates_rejected(self):
         with pytest.raises(TypeError):
             Vec2.of(0.5, 1)
+
+    def test_bool_coordinates_rejected(self):
+        with pytest.raises(TypeError):
+            Vec2.of(True, 0)

@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
 from corpus import delzant_corpus, random_unimodular
 from polychow import (
     AffineMap,
+    DegeneratePolytope,
     Polygon,
     Vec2,
     apply_affine,
@@ -22,6 +23,7 @@ from polychow import (
     ehrhart_eval,
     ehrhart_poly,
     is_delzant,
+    lattice_moments,
     lattice_points,
     moment_integral,
     scale,
@@ -120,3 +122,48 @@ def test_moment_against_green_oracle_on_corpus():
         coords = [v.as_tuple() for v in polygon.vertices]
         assert moment_integral(polygon).as_tuple() == brute.green_moment(coords)
         assert area(polygon) == brute.shoelace_area(coords)
+
+
+def assert_kernel_matches(polygon, i, expected):
+    points = sorted(expected)
+    assert lattice_points(polygon, i) == points
+    assert lattice_moments(polygon, i) == (
+        len(points), sum(x for x, _ in points), sum(y for _, y in points)
+    )
+
+
+RATIONAL = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 7))
+FAR = st.sampled_from([0, 10**12, -(10**12)])
+
+
+@given(
+    st.lists(st.tuples(RATIONAL, RATIONAL), min_size=3, max_size=8),
+    st.tuples(FAR, FAR),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_oracle_on_rational_polygons(points, far, near, i):
+    offset = (far[0] + near[0], far[1] + near[1])
+    try:
+        polygon = canonicalize([Vec2.of(x + offset[0], y + offset[1]) for x, y in points])
+    except DegeneratePolytope:
+        assume(False)
+    coords = [v.as_tuple() for v in polygon.vertices]
+    assert_kernel_matches(polygon, i, brute.enumerate_points(coords, i))
+
+
+@given(st.integers(1, 10**4), st.tuples(FAR, FAR), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_oracle_on_thin_slivers(h, offset, i):
+    # the unit triangle sheared by (1, 0; h, 1) and moved by an integral
+    # offset: its lattice points are the oracle's points of the unit
+    # triangle, sheared and moved (the oracle's own bounding box would
+    # have about i^2 * h cells)
+    ox, oy = offset
+    polygon = Polygon.from_coords([(ox, oy), (ox + 1, oy + h), (ox, oy + 1)])
+    expected = [
+        (x + i * ox, h * x + y + i * oy)
+        for x, y in brute.enumerate_points([(0, 0), (1, 0), (0, 1)], i)
+    ]
+    assert_kernel_matches(polygon, i, expected)
