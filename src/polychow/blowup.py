@@ -53,8 +53,7 @@ from .geometry import (
 from .chow import chow_eval, chow_poly, integral_of_affine
 from .counting import (
     VecPoly,
-    ehrhart_eval,
-    p_delta,
+    _f_sum_and_count,
     segment_count,
     segment_f_sum,
     sum_poly,
@@ -355,19 +354,19 @@ def verify_general_identity(decomposition: Decomposition, f: AffineMap, i: int) 
     vol_parts = sum((area(s) for s in scaled_parts), Fraction(0))
     vol_rest = area(scaled_base) - vol_parts
 
-    p_base = p_delta(scaled_base, f, i)
+    p_base, e_base = _f_sum_and_count(scaled_base, f, i)
     p_parts_minus_seams = ZERO_VEC
     count_parts_minus_seams = 0
     for part, (q, r) in zip(scaled_parts, scaled_seams):
-        p_parts_minus_seams = p_parts_minus_seams + p_delta(part, f, i) - segment_f_sum(q, r, f, i)
-        count_parts_minus_seams += ehrhart_eval(part, i) - segment_count(q, r, i)
+        p_part, e_part = _f_sum_and_count(part, f, i)
+        p_parts_minus_seams = p_parts_minus_seams + p_part - segment_f_sum(q, r, f, i)
+        count_parts_minus_seams += e_part - segment_count(q, r, i)
 
     int_base = integral_of_affine(scaled_base, f)
     int_parts = ZERO_VEC
     for part in scaled_parts:
         int_parts = int_parts + integral_of_affine(part, f)
 
-    e_base = ehrhart_eval(scaled_base, i)
     chow_base = p_base * area(scaled_base) - int_base * e_base
 
     rhs = (

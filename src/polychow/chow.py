@@ -29,7 +29,7 @@ from .geometry import (
     scale,
     translate,
 )
-from .counting import VecPoly, ehrhart_poly, lattice_moments, sum_poly
+from .counting import VecPoly, _f_sum_and_count, ehrhart_poly, sum_poly
 
 
 def integral_of_affine(polygon: Polygon, f: AffineMap) -> Vec2:
@@ -39,8 +39,7 @@ def integral_of_affine(polygon: Polygon, f: AffineMap) -> Vec2:
 
 def chow_eval(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
     """Chow weight at dilation i, by direct enumeration."""
-    count, sx, sy = lattice_moments(polygon, i)
-    f_sum = f.linear_apply(Vec2(Fraction(sx, i), Fraction(sy, i))) + f.offset * count
+    f_sum, count = _f_sum_and_count(polygon, f, i)
     return f_sum * area(polygon) - integral_of_affine(polygon, f) * count
 
 

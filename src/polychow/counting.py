@@ -221,14 +221,20 @@ def sum_poly(polygon: Polygon) -> VecPoly:
     return poly
 
 
-def p_delta(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
-    """Sum of f over the sample points of the i-th subdivision.
+def _f_sum_and_count(polygon: Polygon, f: AffineMap, i: int) -> tuple[Vec2, int]:
+    """Sum of f over the sample points of the i-th subdivision and their
+    number, from one scan.
 
-    The points are enumerated; because f is affine the pointwise sum
-    factors exactly as f_linear(sum of points) + count * offset.
+    Because f is affine the pointwise sum factors exactly as
+    f_linear(sum of points) + count * offset.
     """
     count, sx, sy = lattice_moments(polygon, i)
-    return f.linear_apply(Vec2(Fraction(sx, i), Fraction(sy, i))) + f.offset * count
+    return f.linear_apply(Vec2(Fraction(sx, i), Fraction(sy, i))) + f.offset * count, count
+
+
+def p_delta(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
+    """Sum of f over the sample points of the i-th subdivision."""
+    return _f_sum_and_count(polygon, f, i)[0]
 
 
 def _require_integral(*points: Vec2) -> None:

@@ -126,9 +126,6 @@ class IntMat2:
     def __add__(self, other: "IntMat2") -> "IntMat2":
         return IntMat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 
-    def __neg__(self) -> "IntMat2":
-        return IntMat2(-self.a, -self.b, -self.c, -self.d)
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     DuplicatePoint,
     EmptyConfiguration,
+    EnumerationLimitExceeded,
     GroupClosureOverflow,
     HypothesisNotMet,
 )
@@ -33,7 +33,13 @@ from .geometry import (
     canonicalize,
     moment_integral,
 )
-from .counting import lattice_moments, segment_count, segment_f_sum
+from .counting import (
+    MAX_ENUM_ENV,
+    enumeration_budget,
+    lattice_moments,
+    segment_count,
+    segment_f_sum,
+)
 from .blowup import Decomposition
 
 GROUP_CLOSURE_CAP = 10_000
@@ -69,13 +75,14 @@ class SymmetryGroup:
         for g in generators:
             if g.det() != 1:
                 raise ValueError(f"generator {g} must have determinant one")
-        elements = {IntMat2.identity()}
+        gens = [(g.a, g.b, g.c, g.d) for g in generators]
+        elements = {(1, 0, 0, 1)}
         frontier = list(elements)
         while frontier:
-            fresh: list[IntMat2] = []
-            for known in frontier:
-                for g in generators:
-                    product = known @ g
+            fresh: list[tuple[int, int, int, int]] = []
+            for a, b, c, d in frontier:
+                for ga, gb, gc, gd in gens:
+                    product = (a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd)
                     if product not in elements:
                         elements.add(product)
                         fresh.append(product)
@@ -85,7 +92,7 @@ class SymmetryGroup:
                                 "the generated group is probably infinite"
                             )
             frontier = fresh
-        return cls(frozenset(elements))
+        return cls(frozenset(IntMat2(*m) for m in elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -239,14 +246,6 @@ class MukaiResult:
     witness: MukaiWitness
 
 
-def _cross3(u, v) -> tuple[int, int, int]:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def mukai_classify(configuration: PointConfiguration) -> MukaiResult:
     """Incidence test for Chow stability of the plane blown up at a point
     configuration.
@@ -259,32 +258,47 @@ def mukai_classify(configuration: PointConfiguration) -> MukaiResult:
     equality is attained but never exceeded. The witness is the candidate
     with the largest margin, ties broken by dimension then lexicographic
     coordinates.
+
+    One pass over the point pairs counts the pairs on each line: a line
+    through k points carries k(k-1)/2 of them, so no line rescans the
+    points. Margins are compared as the integer 3*incident - (dim+1)*n.
+    The n(n-1)/2 pairs are charged against the enumeration budget first.
     """
-    count = len(configuration)
+    points = configuration.points
+    count = len(points)
     if count == 0:
         raise EmptyConfiguration("need at least one point")
+    pairs = count * (count - 1) // 2
+    budget = enumeration_budget()
+    if pairs > budget:
+        raise EnumerationLimitExceeded(
+            f"incidence test compares {pairs} point pairs, over the cap of {budget} "
+            f"(set {MAX_ENUM_ENV} to raise the cap)"
+        )
 
-    candidates: list[tuple[int, tuple[int, int, int], int]] = [
-        (0, p, 1) for p in configuration.points
-    ]
-    lines: dict[tuple[int, int, int], int] = {}
-    for p, q in combinations(configuration.points, 2):
-        line = _primitive_triple(_cross3(p, q))
-        if line not in lines:
-            lines[line] = sum(
-                1
-                for r in configuration.points
-                if line[0] * r[0] + line[1] * r[1] + line[2] * r[2] == 0
-            )
-    candidates.extend((1, line, incident) for line, incident in lines.items())
+    pairs_on_line: dict[tuple[int, int, int], int] = {}
+    for j, (px, py, pz) in enumerate(points):
+        for qx, qy, qz in points[j + 1:]:
+            a = py * qz - pz * qy
+            b = pz * qx - px * qz
+            c = px * qy - py * qx
+            g = gcd(a, b, c)
+            if g == 0:
+                raise ValueError("projective coordinates cannot all vanish")
+            if a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0))):
+                g = -g  # first nonzero coordinate positive, as in _primitive_triple
+            line = (a // g, b // g, c // g)
+            pairs_on_line[line] = pairs_on_line.get(line, 0) + 1
 
-    def margin(candidate) -> Fraction:
-        dim, _, incident = candidate
-        return Fraction(incident, count) - Fraction(dim + 1, 3)
-
-    top_margin = max(margin(c) for c in candidates)
-    tied = [c for c in candidates if margin(c) == top_margin]
-    dim, coords, incident = min(tied, key=lambda c: (c[0], c[1]))
+    # every point ties at margin 3 - n; a line wins only by a strictly larger one
+    dim, coords, incident = 0, min(points), 1
+    if pairs_on_line:
+        top_pairs = max(pairs_on_line.values())
+        on_line = (1 + isqrt(1 + 8 * top_pairs)) // 2
+        if 3 * on_line - 2 * count > 3 - count:
+            dim, incident = 1, on_line
+            coords = min(line for line, c in pairs_on_line.items() if c == top_pairs)
+    top_margin = 3 * incident - (dim + 1) * count
 
     if top_margin > 0:
         verdict = "Unstable"

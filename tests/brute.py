@@ -124,3 +124,41 @@ def lattice_boundary_moment(coords) -> tuple[Fraction, Fraction]:
         mx += length * cx
         my += length * cy
     return (mx, my)
+
+
+def primitive_triple(triple) -> tuple[int, int, int]:
+    g = gcd(gcd(abs(triple[0]), abs(triple[1])), abs(triple[2]))
+    if g == 0:
+        raise ValueError("projective coordinates cannot all vanish")
+    sign = -1 if next(c for c in triple if c != 0) < 0 else 1
+    return tuple(sign * c // g for c in triple)
+
+
+def mukai_brute(points) -> tuple[str, int, tuple[int, int, int], int, Fraction, Fraction]:
+    """Incidence test by rescanning every point for every line through two
+    of them: (verdict, witness dim, coordinates, incident, ratio, bound).
+
+    Candidates are the points and the lines through two or more of them;
+    the witness has the largest incident/n - (dim+1)/3, ties broken by
+    dimension then coordinates.
+    """
+    n = len(points)
+    candidates = [(Fraction(1, n) - Fraction(1, 3), 0, tuple(p), 1) for p in points]
+    seen = set()
+    for a in range(n):
+        for b in range(a + 1, n):
+            p, q = points[a], points[b]
+            line = primitive_triple((
+                p[1] * q[2] - p[2] * q[1],
+                p[2] * q[0] - p[0] * q[2],
+                p[0] * q[1] - p[1] * q[0],
+            ))
+            if line in seen:
+                continue
+            seen.add(line)
+            incident = sum(1 for r in points if sum(u * v for u, v in zip(line, r)) == 0)
+            candidates.append((Fraction(incident, n) - Fraction(2, 3), 1, line, incident))
+    top = max(c[0] for c in candidates)
+    _, dim, coords, incident = min(c for c in candidates if c[0] == top)
+    verdict = "Unstable" if top > 0 else "Borderline" if top == 0 else "Stable"
+    return verdict, dim, coords, incident, Fraction(incident, n), Fraction(dim + 1, 3)

@@ -300,6 +300,22 @@ class TestGeneralIdentity:
             assert verify_general_identity(d, ID, 1) == ZERO
             assert verify_general_identity(d, random_affine(rng), 2) == ZERO
 
+    def test_one_scan_per_polygon_and_dilation(self, hexagon, monkeypatch):
+        # scaled base, one scaled cut simplex and the scaled chopped polygon
+        import polychow.counting as counting
+
+        scans = []
+        rows = counting._rows
+
+        def counted_rows(polygon, i):
+            scans.append((polygon, i))
+            return rows(polygon, i)
+
+        monkeypatch.setattr(counting, "_rows", counted_rows)
+        assert verify_general_identity(hexagon_cut(hexagon), ID, 2) == ZERO
+        assert len(scans) == 3
+        assert len(set(scans)) == 3
+
 
 class TestAdditivity:
     @pytest.mark.parametrize("i", [1, 2, 3, 4])

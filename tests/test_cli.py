@@ -272,6 +272,16 @@ class TestMukai:
         path = write(tmp_path, "pts.json", {"points": [["1", "0", "0"], ["2", "0", "0"]]})
         assert main(["mukai", path]) == 1
 
+    def test_pair_budget_exit_one(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("POLYCHOW_MAX_ENUM", "10")
+        points = [["1", str(j), str(j * j)] for j in range(6)]
+        path = write(tmp_path, "pts.json", {"points": points})
+        assert main(["mukai", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "15 point pairs" in captured.err
+
 
 class TestReplicate:
     def test_full_suite_passes(self, capsys):

@@ -12,6 +12,7 @@ from corpus import delzant_corpus, random_unimodular
 from polychow import (
     AffineMap,
     DegeneratePolytope,
+    PointConfiguration,
     Polygon,
     Vec2,
     apply_affine,
@@ -26,6 +27,7 @@ from polychow import (
     lattice_moments,
     lattice_points,
     moment_integral,
+    mukai_classify,
     scale,
     sum_points,
     sum_poly,
@@ -167,3 +169,32 @@ def test_kernel_matches_oracle_on_thin_slivers(h, offset, i):
         for x, y in brute.enumerate_points([(0, 0), (1, 0), (0, 1)], i)
     ]
     assert_kernel_matches(polygon, i, expected)
+
+
+def projective_rows(radius):
+    coord = st.integers(-radius, radius)
+    return st.lists(st.tuples(coord, coord, coord, st.sampled_from((1, -1, 2, -3))),
+                    min_size=1, max_size=40)
+
+
+@given(st.one_of(projective_rows(1), projective_rows(2)))
+@settings(max_examples=150, deadline=None)
+def test_mukai_matches_rescan_oracle(rows):
+    # small coordinates put many triples on a line, and with radius 1 often
+    # two lines tie for the witness; each point keeps the first
+    # representative drawn, rescaled or negated
+    representatives, seen = [], set()
+    for x, y, z, factor in rows:
+        if (x, y, z) == (0, 0, 0) or brute.primitive_triple((x, y, z)) in seen:
+            continue
+        seen.add(brute.primitive_triple((x, y, z)))
+        representatives.append((factor * x, factor * y, factor * z))
+    representatives = representatives[:25]
+    assume(representatives)
+    for configuration in (PointConfiguration.of(representatives),
+                          PointConfiguration(tuple(representatives))):
+        result = mukai_classify(configuration)
+        w = result.witness
+        assert (result.verdict, w.dim, w.coordinates, w.incident, w.ratio, w.bound) == (
+            brute.mukai_brute(configuration.points)
+        )

@@ -9,6 +9,7 @@ from polychow import (
     CornerCut,
     DuplicatePoint,
     EmptyConfiguration,
+    EnumerationLimitExceeded,
     GroupClosureOverflow,
     HypothesisNotMet,
     IntMat2,
@@ -211,4 +212,25 @@ class TestMukai:
         # four aligned points: both the line and no point dominate; the line wins
         result = mukai_classify(config((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1)))
         assert result.verdict == "Unstable"
+        assert result.witness.coordinates == (0, 0, 1)
+
+    def test_two_representatives_of_one_point_rejected(self):
+        # built directly, not through `of`: the pair's cross product vanishes
+        configuration = PointConfiguration(((1, 2, 3), (0, 0, 1), (-2, -4, -6)))
+        with pytest.raises(ValueError, match="projective coordinates cannot all vanish"):
+            mukai_classify(configuration)
+
+    def test_pairs_charged_against_budget(self, monkeypatch):
+        monkeypatch.setenv("POLYCHOW_MAX_ENUM", "10")
+        points = [(1, j, j * j) for j in range(6)]
+        assert mukai_classify(config(*points[:5])).verdict == "Stable"  # 10 pairs
+        with pytest.raises(EnumerationLimitExceeded, match="15 point pairs"):
+            mukai_classify(config(*points))
+
+    def test_tied_lines_smallest_coordinates_win(self):
+        # the lines y = 0 and z = 0 carry three of the five points each
+        result = mukai_classify(
+            config((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0))
+        )
+        assert result.witness.dim == 1
         assert result.witness.coordinates == (0, 0, 1)
