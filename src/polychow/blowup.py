@@ -20,8 +20,9 @@ route and the enumeration route are kept fully independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     CutThroughEdge,
@@ -102,32 +103,40 @@ class Decomposition:
     b_const: int
     base_scaled_delzant: bool
     chopped_scaled_delzant: bool
+    # k * base and k * chopped, built once by chop_corners
+    _scaled_base: Polygon = field(repr=False, compare=False)
+    _scaled_chopped: Polygon = field(repr=False, compare=False)
 
     @property
     def cut_vertices(self) -> tuple[Vec2, ...]:
         return tuple(c.vertex for c in self.cuts)
 
     def scaled_base(self) -> Polygon:
-        return scale(self.base, self.k)
+        return self._scaled_base
 
     def scaled_chopped(self) -> Polygon:
-        return scale(self.chopped, self.k)
+        return self._scaled_chopped
 
 
 def _triangles_disjoint(t1: Polygon, t2: Polygon) -> bool:
-    """Exact separating-axis test for closed convex polygons."""
+    """Exact separating-axis test for closed convex polygons, on their
+    integer forms brought to one common scale."""
+    common = lcm(t1.integer.scale, t2.integer.scale)
 
-    def separated_by_edge_of(a: Polygon, b: Polygon) -> bool:
-        n = len(a.vertices)
-        for i in range(n):
-            p = a.vertices[i]
-            d = a.vertices[(i + 1) % n] - p
-            # b entirely in the open outside of edge (p, p+d)?
-            if all(d.cross(w - p) < 0 for w in b.vertices):
+    def integer_vertices(t: Polygon) -> list[tuple[int, int]]:
+        factor = common // t.integer.scale
+        return [(x * factor, y * factor) for x, y in t.integer.vertices]
+
+    def separated_by_edge_of(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bool:
+        for (px, py), (qx, qy) in zip(a, a[1:] + a[:1]):
+            dx, dy = qx - px, qy - py
+            # b entirely in the open outside of edge (p, q)?
+            if all(dx * (wy - py) - dy * (wx - px) < 0 for wx, wy in b):
                 return True
         return False
 
-    return separated_by_edge_of(t1, t2) or separated_by_edge_of(t2, t1)
+    a, b = integer_vertices(t1), integer_vertices(t2)
+    return separated_by_edge_of(a, b) or separated_by_edge_of(b, a)
 
 
 def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -> Decomposition:
@@ -202,10 +211,19 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
         m.append(int(scaled_depth))
 
     scaled_base = scale(base, k)
+    scaled_chopped = scale(chopped, k)
     if not is_lattice(scaled_base):
-        raise InternalInconsistency("scaled base polygon is not a lattice polygon")
-    if area(chopped) + sum(area(s) for s in simplices) != area(base):
-        raise InternalInconsistency("cut areas do not add up to the base area")
+        raise InternalInconsistency(
+            f"scaled base polygon {scaled_base.vertex_text()} (base {base.vertex_text()} "
+            f"at lattice multiple k={k}) is not a lattice polygon"
+        )
+    base_area = area(base)
+    parts_area = area(chopped) + sum(area(s) for s in simplices)
+    if parts_area != base_area:
+        raise InternalInconsistency(
+            f"cut areas of base {base.vertex_text()} at lattice multiple k={k} do not add "
+            f"up: chopped plus cut simplices {parts_area}, base {base_area}"
+        )
 
     m_sum = sum(m)
     m_square_sum = sum(v * v for v in m)
@@ -213,7 +231,10 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
     a_const = boundary - m_sum
     b_const = 2 * area(scaled_base) - m_square_sum
     if a_const.denominator != 1 or b_const.denominator != 1:
-        raise InternalInconsistency("aggregate invariants are not integral")
+        raise InternalInconsistency(
+            f"aggregate invariants of scaled base {scaled_base.vertex_text()} at lattice "
+            f"multiple k={k} are not integral: A={a_const}, B={b_const}"
+        )
 
     return Decomposition(
         base=base,
@@ -229,7 +250,9 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
         a_const=int(a_const),
         b_const=int(b_const),
         base_scaled_delzant=is_delzant(scaled_base),
-        chopped_scaled_delzant=is_delzant(scale(chopped, k)),
+        chopped_scaled_delzant=is_delzant(scaled_chopped),
+        _scaled_base=scaled_base,
+        _scaled_chopped=scaled_chopped,
     )
 
 
@@ -260,39 +283,41 @@ def simplex_closed_forms(m: int, i: int) -> SimplexForms:
 def df_invariants(decomposition: Decomposition) -> tuple[Vec2, Vec2]:
     """The two correction invariants of the blow-up identity.
 
-    Both are assembled from the cut depths, the corner-frame column sums,
-    the cut vertices (unscaled, multiplied by k inside the formula), and
-    the scaled base's moment, boundary-moment and point-sum data.
+    Both are assembled from the cut depths m, the corner-frame column sums
+    F, the scaled cut vertices k*v, the aggregates A and B, and the scaled
+    base's moment, boundary-moment and point-sum data:
+
+        DF1 = (A*sum(F m^3) + 3*(A*sum(k v m^2) - B*sum(k v m))) / 12
+              + moment * sum(m) / 2 - boundary moment * sum(m^2) / 4
+        DF2 = (B*sum(F m) + 2*sum(F m^3) + 6*sum(k v m^2)) / 12
+              - (constant of the point-sum polynomial) * sum(m^2) / 2
     """
     d = decomposition
-    a_c, b_c, k = Fraction(d.a_const), Fraction(d.b_const), d.k
+    a_c, b_c, k = d.a_const, d.b_const, d.k
     scaled = d.scaled_base()
 
-    frame_m3 = ZERO_VEC
-    frame_m1 = ZERO_VEC
-    vert_m2 = ZERO_VEC
-    vert_m1 = ZERO_VEC
+    # integer sums over the cuts; k * v is integral because the scaled base
+    # is a lattice polygon
+    frame_m3 = frame_m1 = vert_m2 = vert_m1 = Vec2(0, 0)
     for cut, frame, m in zip(d.cuts, d.frames, d.m):
-        col = frame.column_sum()
-        frame_m3 = frame_m3 + col * Fraction(m**3)
-        frame_m1 = frame_m1 + col * Fraction(m)
-        vert_m2 = vert_m2 + cut.vertex * Fraction(m * m)
-        vert_m1 = vert_m1 + cut.vertex * Fraction(m)
+        col = Vec2(frame.a + frame.b, frame.c + frame.d)
+        vertex = Vec2(int(cut.vertex.x * k), int(cut.vertex.y * k))
+        frame_m3 = frame_m3 + col * m**3
+        frame_m1 = frame_m1 + col * m
+        vert_m2 = vert_m2 + vertex * (m * m)
+        vert_m1 = vert_m1 + vertex * m
 
     moment = moment_integral(scaled)
     boundary = boundary_moment(scaled)
     sum_const = sum_poly(scaled).c0
 
     df1 = (
-        frame_m3 * (a_c / 12)
-        + (vert_m2 * a_c - vert_m1 * b_c) * Fraction(k, 4)
+        (frame_m3 * a_c + (vert_m2 * a_c - vert_m1 * b_c) * 3) * Fraction(1, 12)
         + moment * Fraction(d.m_sum, 2)
         - boundary * Fraction(d.m_square_sum, 4)
     )
     df2 = (
-        frame_m1 * (b_c / 12)
-        + frame_m3 * Fraction(1, 6)
-        + vert_m2 * Fraction(k, 2)
+        (frame_m1 * b_c + frame_m3 * 2 + vert_m2 * 6) * Fraction(1, 12)
         - sum_const * Fraction(d.m_square_sum, 2)
     )
     return df1, df2

@@ -29,7 +29,7 @@ from .geometry import (
     scale,
     translate,
 )
-from .counting import VecPoly, _f_sum_and_count, ehrhart_poly, sum_poly
+from .counting import VecPoly, ehrhart_poly, lattice_moments, sum_poly
 
 
 def integral_of_affine(polygon: Polygon, f: AffineMap) -> Vec2:
@@ -38,9 +38,22 @@ def integral_of_affine(polygon: Polygon, f: AffineMap) -> Vec2:
 
 
 def chow_eval(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
-    """Chow weight at dilation i, by direct enumeration."""
-    f_sum, count = _f_sum_and_count(polygon, f, i)
-    return f_sum * area(polygon) - integral_of_affine(polygon, f) * count
+    """Chow weight at dilation i, by direct enumeration.
+
+    The constant part of f cancels between the two terms, so the weight is
+    f_linear(Vol * (sum of the sample points) - count * moment), taken in
+    the integers of the polygon's integer form: with scale L, Vol is
+    twice_area / (2 L^2), the moment is moment / (6 L^3) and the sample
+    points sum to (sum of x, sum of y) / i.
+    """
+    count, sx, sy = lattice_moments(polygon, i)
+    form = polygon.integer
+    vol6 = 3 * form.scale * form.twice_area  # 6 L^3 * Vol
+    denominator = 6 * form.scale**3 * i
+    return f.linear_apply(Vec2(
+        Fraction(vol6 * sx - i * count * form.moment[0], denominator),
+        Fraction(vol6 * sy - i * count * form.moment[1], denominator),
+    ))
 
 
 def chow_poly(polygon: Polygon) -> VecPoly:
@@ -55,7 +68,10 @@ def chow_poly(polygon: Polygon) -> VecPoly:
     e = ehrhart_poly(polygon)
     c2 = s.c2 * vol - m * e.c2
     if c2 != ZERO_VEC:
-        raise InternalInconsistency("Chow weight has a nonzero quadratic coefficient")
+        raise InternalInconsistency(
+            f"Chow weight of polygon {polygon.vertex_text()} has a nonzero quadratic "
+            f"coefficient: Vol * s2 = {s.c2 * vol}, E2 * moment = {m * e.c2}"
+        )
     return VecPoly(ZERO_VEC, s.c1 * vol - m * e.c1, s.c0 * vol - m * e.c0)
 
 

@@ -61,8 +61,17 @@ from .serialization import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are input errors: one `error:` line and exit 1, not
+    argparse's usage dump and exit 2, which means a verification mismatch
+    here. Subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polytope-chow",
         description=(
             "Exact invariants of convex lattice polygons: lattice point counts, "

@@ -3,10 +3,12 @@
 Enumeration is the single source of truth here. One integer row scan
 yields each row's first and last lattice point; `lattice_moments` sums the
 rows in closed form into (count, sum of x, sum of y), and every count or
-sum below is one call to it. The closed forms for the Ehrhart and lattice-sum polynomials are built from a
-couple of enumerated values and then cross-checked against enumeration at
-further dilations; a mismatch raises InternalInconsistency instead of
-returning a silently wrong polynomial.
+sum below is one call to it. The Ehrhart polynomial comes from Pick's
+theorem and the point-sum polynomial from the Euler-Maclaurin form of the
+lattice-normalized boundary measure, with one enumerated constant; both
+are cross-checked against enumeration at further dilations, and a
+mismatch raises InternalInconsistency instead of returning a silently
+wrong polynomial.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .geometry import (
     Vec2,
     ZERO_VEC,
     area,
-    denominator_lcm,
+    boundary_lattice_length,
+    boundary_moment,
     is_lattice,
     moment_integral,
 )
@@ -83,21 +86,19 @@ def _rows(polygon: Polygon, i: int) -> Iterator[tuple[int, int, int]]:
     """Nonempty rows (y, first, last) of the i-th dilation's lattice points,
     bottom to top.
 
-    Integer row scan: the vertices are scaled by i and by the lcm L of their
-    denominators, so (x, y) lies in the dilation exactly when (L*x, L*y)
-    lies in the scaled polygon, and each row's x bounds are one floor
+    Integer row scan: the vertices of the polygon's integer form (scaled by
+    the lcm L of their denominators) are scaled by i, so (x, y) lies in the
+    dilation exactly when (L*x, L*y) lies in the scaled polygon, and each
+    row's x bounds are one floor
     division on the right chain and one on the left. The budget is charged
     for every row before the scan starts, then for the points as they are
     counted.
     """
     if i < 1:
         raise ValueError("dilation factor must be a positive integer")
-    scale_l = denominator_lcm(polygon)
-    verts = [
-        (v.x.numerator * (scale_l // v.x.denominator) * i,
-         v.y.numerator * (scale_l // v.y.denominator) * i)
-        for v in polygon.vertices
-    ]
+    form = polygon.integer
+    scale_l = form.scale
+    verts = [(x * i, y * i) for x, y in form.vertices]
     y_lo = -(-min(y for _, y in verts) // scale_l)
     y_hi = max(y for _, y in verts) // scale_l
     rows = max(0, y_hi - y_lo + 1)
@@ -178,18 +179,19 @@ def ehrhart_eval(polygon: Polygon, i: int) -> int:
 def ehrhart_poly(polygon: Polygon) -> ScalarPoly:
     """Counting polynomial of a lattice polygon.
 
-    Built from the area and one enumeration (Pick form: the linear
-    coefficient is E(1) - area - 1, the constant term is 1), then verified
-    against enumeration at dilations 2 and 3.
+    Pick's theorem gives it from the area and the boundary lattice length b:
+    E(i) = area * i^2 + (b/2) * i + 1. It is verified against enumeration
+    at dilations 2 and 3.
     """
     if not is_lattice(polygon):
         raise NotLatticePolygon("counting polynomial needs integral vertices")
-    vol = area(polygon)
-    poly = ScalarPoly(vol, Fraction(ehrhart_eval(polygon, 1)) - vol - 1, Fraction(1))
+    poly = ScalarPoly(area(polygon), boundary_lattice_length(polygon) / 2, Fraction(1))
     for i in (2, 3):
-        if poly(i) != ehrhart_eval(polygon, i):
+        enumerated = ehrhart_eval(polygon, i)
+        if poly(i) != enumerated:
             raise InternalInconsistency(
-                f"counting polynomial disagrees with enumeration at i={i}"
+                f"counting polynomial of polygon {polygon.vertex_text()} disagrees with "
+                f"enumeration at i={i}: closed form {poly(i)}, enumerated {enumerated}"
             )
     return poly
 
@@ -204,19 +206,22 @@ def sum_points(polygon: Polygon, i: int) -> Vec2:
 def sum_poly(polygon: Polygon) -> VecPoly:
     """Closed form of the point-sum polynomial of a lattice polygon.
 
-    Interpolated from the moment integral and the sums at dilations 1 and
-    2, then verified against enumeration at dilations 3 and 4.
+    Euler-Maclaurin with the lattice-normalized boundary measure gives
+    s(i) = m * i^2 + (bm/2) * i + c0 from the moment integral m and the
+    boundary moment bm; the constant c0 = s(1) - m - bm/2 takes one
+    enumeration. It is verified against enumeration at dilations 3 and 4.
     """
     if not is_lattice(polygon):
         raise NotLatticePolygon("sum polynomial needs integral vertices")
     m = moment_integral(polygon)
-    s1 = sum_points(polygon, 1)
-    s2 = sum_points(polygon, 2)
-    poly = VecPoly(m, s2 - s1 - 3 * m, 2 * m - s2 + 2 * s1)
+    half_bm = boundary_moment(polygon) * Fraction(1, 2)
+    poly = VecPoly(m, half_bm, sum_points(polygon, 1) - m - half_bm)
     for i in (3, 4):
-        if poly(i) != sum_points(polygon, i):
+        enumerated = sum_points(polygon, i)
+        if poly(i) != enumerated:
             raise InternalInconsistency(
-                f"sum polynomial disagrees with enumeration at i={i}"
+                f"sum polynomial of polygon {polygon.vertex_text()} disagrees with "
+                f"enumeration at i={i}: closed form {poly(i)}, enumerated {enumerated}"
             )
     return poly
 

@@ -13,7 +13,7 @@ this package depends on that convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -68,9 +68,6 @@ class Vec2:
         return self.x * other.y - self.y * other.x
 
     def as_tuple(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.y)
-
-    def sort_key(self) -> tuple[Fraction, Fraction]:
         return (self.x, self.y)
 
 
@@ -170,31 +167,84 @@ class AffineMap:
 
 
 @dataclass(frozen=True)
+class IntegerForm:
+    """A polygon scaled by the least common multiple `scale` of its vertex
+    denominators, so that every vertex is an integer pair, with the
+    polygon's invariants in exact integer units:
+
+    - `twice_area` is 2 * scale^2 * area,
+    - `moment` is 6 * scale^3 * (integral of the coordinate vector),
+    - `boundary_length` is scale * (boundary lattice length),
+    - `boundary_moment` is 2 * scale^2 * (lattice-normalized boundary moment).
+    """
+
+    scale: int
+    vertices: tuple[tuple[int, int], ...]
+    twice_area: int
+    moment: tuple[int, int]
+    boundary_length: int
+    boundary_moment: tuple[int, int]
+
+
+def _scaled_to_integers(points: Sequence[Vec2]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The lcm L of the points' coordinate denominators, and the points
+    L*v as integer pairs (in the same order; L > 0 keeps their order)."""
+    scale = 1
+    for v in points:
+        scale = lcm(scale, v.x.denominator, v.y.denominator)
+    return scale, tuple(
+        (v.x.numerator * (scale // v.x.denominator), v.y.numerator * (scale // v.y.denominator))
+        for v in points
+    )
+
+
+def _integer_form(vertices: Sequence[Vec2]) -> IntegerForm:
+    """The integer form of a canonical vertex cycle, after the checks that
+    make it one: at least three vertices, strictly convex and
+    counter-clockwise, starting at the smallest vertex."""
+    n = len(vertices)
+    if n < 3:
+        raise DegeneratePolytope("a polygon needs at least three vertices")
+    scale, pts = _scaled_to_integers(vertices)
+    twice_area = mx = my = length = bx = by = 0
+    for j in range(n):
+        px, py = pts[j - 1]
+        qx, qy = pts[j]
+        rx, ry = pts[(j + 1) % n]
+        dx, dy = qx - px, qy - py
+        if dx * (ry - qy) - dy * (rx - qx) <= 0:
+            raise DegeneratePolytope("vertices must be strictly convex and counter-clockwise")
+        # edge p -> q: its shoelace term, its moment term (Green's theorem)
+        # and its lattice length times its midpoint
+        cross = px * qy - qx * py
+        twice_area += cross
+        mx += (px + qx) * cross
+        my += (py + qy) * cross
+        steps = gcd(dx, dy)
+        length += steps
+        bx += (px + qx) * steps
+        by += (py + qy) * steps
+    if min(pts) != pts[0]:
+        raise DegeneratePolytope("canonical form starts at the smallest vertex")
+    return IntegerForm(scale, pts, twice_area, (mx, my), length, (bx, by))
+
+
+@dataclass(frozen=True)
 class Polygon:
     """Strictly convex polygon in canonical form.
 
     Invariants enforced on construction: at least three vertices, no three
     consecutive vertices collinear, counter-clockwise orientation, first
     vertex lexicographically smallest. Use `canonicalize` to build one from
-    arbitrary points.
+    arbitrary points. `integer` is the polygon's integer form, built once
+    by those checks; the measures below and the row scan read it.
     """
 
     vertices: tuple[Vec2, ...]
+    integer: IntegerForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        verts = self.vertices
-        if len(verts) < 3:
-            raise DegeneratePolytope("a polygon needs at least three vertices")
-        n = len(verts)
-        for i in range(n):
-            p, q, r = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
-            if (q - p).cross(r - p) <= 0:
-                raise DegeneratePolytope(
-                    "vertices must be strictly convex and counter-clockwise"
-                )
-        smallest = min(range(n), key=lambda i: verts[i].sort_key())
-        if smallest != 0:
-            raise DegeneratePolytope("canonical form starts at the smallest vertex")
+        object.__setattr__(self, "integer", _integer_form(self.vertices))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -212,6 +262,11 @@ class Polygon:
         n = len(self.vertices)
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
 
+    def vertex_text(self) -> str:
+        """The vertices as "[(x, y), ...]" with p/q coordinates, so that a
+        message naming the polygon can rebuild it."""
+        return "[" + ", ".join(f"({v.x}, {v.y})" for v in self.vertices) + "]"
+
     @staticmethod
     def from_coords(coords: Iterable[Sequence[RationalLike]]) -> "Polygon":
         return canonicalize([Vec2.of(c[0], c[1]) for c in coords])
@@ -224,14 +279,22 @@ def canonicalize(points: Iterable[Vec2]) -> Polygon:
     can produce seam vertices that line up with an old edge). Raises
     DegeneratePolytope when the hull has no area.
     """
-    pts = sorted(set(points), key=Vec2.sort_key)
-    if len(pts) < 3:
+    unique = list(set(points))
+    if len(unique) < 3:
         raise DegeneratePolytope("need at least three distinct points")
+    # the hull is taken on the points scaled to integers, each paired with
+    # its original vector; distinct points have distinct integer pairs
+    pts = sorted(zip(_scaled_to_integers(unique)[1], unique))
 
     def build(chain_pts):
-        chain: list[Vec2] = []
+        chain: list[tuple[tuple[int, int], Vec2]] = []
         for p in chain_pts:
-            while len(chain) >= 2 and (chain[-1] - chain[-2]).cross(p - chain[-2]) <= 0:
+            (px, py), _ = p
+            while len(chain) >= 2:
+                (ax, ay), _ = chain[-2]
+                (bx, by), _ = chain[-1]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
+                    break
                 chain.pop()
             chain.append(p)
         return chain
@@ -242,33 +305,21 @@ def canonicalize(points: Iterable[Vec2]) -> Polygon:
     if len(hull) < 3:
         raise DegeneratePolytope("points are collinear")
     # monotone chain starts at the lexicographically smallest point and runs CCW
-    return Polygon(tuple(hull))
+    return Polygon(tuple(v for _, v in hull))
 
 
 def area(polygon: Polygon) -> Fraction:
     """Euclidean area, exact (shoelace formula)."""
-    total = Fraction(0)
-    verts = polygon.vertices
-    n = len(verts)
-    for i in range(n):
-        total += verts[i].cross(verts[(i + 1) % n])
-    return total / 2
+    form = polygon.integer
+    return Fraction(form.twice_area, 2 * form.scale**2)
 
 
 def moment_integral(polygon: Polygon) -> Vec2:
-    """Integral of the coordinate vector over the polygon.
-
-    Fan triangulation from the first vertex; each triangle contributes
-    area times centroid, which is exact for a linear integrand.
-    """
-    verts = polygon.vertices
-    acc = ZERO_VEC
-    for i in range(1, len(verts) - 1):
-        p, q, r = verts[0], verts[i], verts[i + 1]
-        tri_area = (q - p).cross(r - p) / 2
-        centroid = (p + q + r) * Fraction(1, 3)
-        acc = acc + centroid * tri_area
-    return acc
+    """Integral of the coordinate vector over the polygon, exact for a
+    linear integrand: sum over the edges p -> q of (p + q) * (p x q) / 6."""
+    form = polygon.integer
+    denominator = 6 * form.scale**3
+    return Vec2(Fraction(form.moment[0], denominator), Fraction(form.moment[1], denominator))
 
 
 def primitive_direction(d: Vec2) -> tuple[int, int]:
@@ -293,35 +344,43 @@ def boundary_moment(polygon: Polygon) -> Vec2:
     """Integral of the coordinate vector over the boundary with the
     lattice-normalized measure: each edge contributes its lattice length
     times its midpoint (exact for a linear integrand)."""
-    acc = ZERO_VEC
-    for p, q in polygon.edges():
-        acc = acc + (p + q) * (lattice_length(p, q) / 2)
-    return acc
+    form = polygon.integer
+    denominator = 2 * form.scale**2
+    return Vec2(
+        Fraction(form.boundary_moment[0], denominator),
+        Fraction(form.boundary_moment[1], denominator),
+    )
 
 
 def boundary_lattice_length(polygon: Polygon) -> Fraction:
     """Total lattice length of the boundary; equals the number of boundary
     lattice points when the polygon is a lattice polygon."""
-    return sum((lattice_length(p, q) for p, q in polygon.edges()), Fraction(0))
+    form = polygon.integer
+    return Fraction(form.boundary_length, form.scale)
 
 
 def is_lattice(polygon: Polygon) -> bool:
-    return all(v.x.denominator == 1 and v.y.denominator == 1 for v in polygon.vertices)
+    return polygon.integer.scale == 1
 
 
 def denominator_lcm(polygon: Polygon) -> int:
     """Least k >= 1 such that k * polygon has integral vertices."""
-    result = 1
-    for v in polygon.vertices:
-        result = lcm(result, v.x.denominator, v.y.denominator)
-    return result
+    return polygon.integer.scale
 
 
 def _corner_directions(polygon: Polygon, index: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    v = polygon.vertex(index)
-    d_next = primitive_direction(polygon.vertex(index + 1) - v)
-    d_prev = primitive_direction(polygon.vertex(index - 1) - v)
-    return d_next, d_prev
+    """Primitive directions from a vertex to its next and previous vertex,
+    read from the integer form (scaling does not change a direction)."""
+    pts = polygon.integer.vertices
+    n = len(pts)
+    vx, vy = pts[index % n]
+
+    def towards(w: tuple[int, int]) -> tuple[int, int]:
+        dx, dy = w[0] - vx, w[1] - vy
+        steps = gcd(dx, dy)
+        return dx // steps, dy // steps
+
+    return towards(pts[(index + 1) % n]), towards(pts[(index - 1) % n])
 
 
 def corner_frame(polygon: Polygon, index: int) -> IntMat2:

@@ -206,9 +206,28 @@ def _primitive_triple(raw: tuple[int, int, int]) -> tuple[int, int, int]:
 @dataclass(frozen=True)
 class PointConfiguration:
     """Pairwise-distinct points of the projective plane, stored as primitive
-    integer triples with canonical sign."""
+    integer triples with canonical sign (first nonzero coordinate
+    positive). A configuration built directly must already hold such
+    triples; `of` normalizes arbitrary rational representatives."""
 
     points: tuple[tuple[int, int, int], ...]
+
+    def __post_init__(self):
+        for point in self.points:
+            if not (type(point) is tuple and len(point) == 3
+                    and type(point[0]) is type(point[1]) is type(point[2]) is int):
+                raise ValueError(f"projective point needs a triple of integers: {point!r}")
+            g = gcd(*point)
+            if g == 0:
+                raise ValueError("projective coordinates cannot all vanish")
+            # a triple is above (0, 0, 0) exactly when its first nonzero coordinate is positive
+            if g != 1 or point < (0, 0, 0):
+                raise ValueError(
+                    f"projective point {point!r} is not primitive with its first nonzero "
+                    "coordinate positive (PointConfiguration.of normalizes it)"
+                )
+        if len(set(self.points)) != len(self.points):
+            raise DuplicatePoint("projective points must be pairwise distinct")
 
     @staticmethod
     def of(rows) -> "PointConfiguration":
@@ -221,8 +240,6 @@ class PointConfiguration:
             fracs = [Fraction(c) for c in row]
             common = lcm(*(c.denominator for c in fracs))
             normalized.append(_primitive_triple(tuple(int(c * common) for c in fracs)))
-        if len(set(normalized)) != len(normalized):
-            raise DuplicatePoint("projective points must be pairwise distinct")
         return PointConfiguration(tuple(normalized))
 
     def __len__(self) -> int:
@@ -282,9 +299,7 @@ def mukai_classify(configuration: PointConfiguration) -> MukaiResult:
             a = py * qz - pz * qy
             b = pz * qx - px * qz
             c = px * qy - py * qx
-            g = gcd(a, b, c)
-            if g == 0:
-                raise ValueError("projective coordinates cannot all vanish")
+            g = gcd(a, b, c)  # nonzero: the points are distinct and primitive
             if a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0))):
                 g = -g  # first nonzero coordinate positive, as in _primitive_triple
             line = (a // g, b // g, c // g)

@@ -40,6 +40,28 @@ def green_moment(coords) -> tuple[Fraction, Fraction]:
     return (mx, my)
 
 
+def fan_moment(coords) -> tuple[Fraction, Fraction]:
+    """Moment integral by fan triangulation from the first vertex: each
+    triangle contributes its area times its centroid."""
+    pts = frac_points(coords)
+    mx = Fraction(0)
+    my = Fraction(0)
+    (px, py) = pts[0]
+    for (qx, qy), (rx, ry) in zip(pts[1:], pts[2:]):
+        tri_area = ((qx - px) * (ry - py) - (qy - py) * (rx - px)) / 2
+        mx += tri_area * (px + qx + rx) / 3
+        my += tri_area * (py + qy + ry) / 3
+    return (mx, my)
+
+
+def denominator_lcm(coords) -> int:
+    result = 1
+    for x, y in frac_points(coords):
+        for c in (x, y):
+            result = result * c.denominator // gcd(result, c.denominator)
+    return result
+
+
 def contains(coords, x: Fraction, y: Fraction) -> bool:
     pts = frac_points(coords)
     for i in range(len(pts)):

@@ -12,6 +12,7 @@ from polychow import (
     CornerCut,
     CutThroughEdge,
     IntMat2,
+    InternalInconsistency,
     InvalidCutDepth,
     InvalidCutVertex,
     OverlappingCuts,
@@ -234,6 +235,34 @@ class TestBlowupIdentity:
             verify_blowup_theorem(d, 3)
         assert excinfo.value.i == 1
         assert excinfo.value.lhs != excinfo.value.rhs
+
+    def test_corrupted_invariants_caught_by_enumeration(self, hexagon, monkeypatch):
+        # the enumerated side shares nothing with the invariants, so a wrong
+        # DF1 cannot be compared with itself
+        import polychow.blowup as blowup_module
+
+        d = hexagon_cut(hexagon)
+        exact = blowup_module.df_invariants
+
+        def shifted(decomposition):
+            df1, df2 = exact(decomposition)
+            return df1 + Vec2.of(1, 0), df2
+
+        monkeypatch.setattr(blowup_module, "df_invariants", shifted)
+        with pytest.raises(VerificationMismatch) as excinfo:
+            verify_blowup_theorem(d, 3)
+        assert excinfo.value.i == 1
+        assert excinfo.value.lhs - excinfo.value.rhs == Vec2.of(1, 0)
+
+    def test_area_mismatch_names_polygon_and_sides(self, hexagon, monkeypatch):
+        import polychow.blowup as blowup_module
+
+        monkeypatch.setattr(blowup_module, "area", lambda polygon: Fraction(1))
+        with pytest.raises(InternalInconsistency) as excinfo:
+            hexagon_cut(hexagon)
+        message = str(excinfo.value)
+        assert "[(0, 1), (1, 0), (2, 0), (2, 1), (1, 2), (0, 2)]" in message
+        assert "k=2" in message and "chopped plus cut simplices 2, base 1" in message
 
 
 class TestCorpusIdentity:

@@ -7,6 +7,7 @@ import pytest
 from conftest import quadrilateral
 from polychow import (
     AffineMap,
+    InternalInconsistency,
     IntMat2,
     NotLatticePolygon,
     Polygon,
@@ -71,6 +72,18 @@ class TestChowPoly:
     def test_rational_polygon_rejected(self, heptagon):
         with pytest.raises(NotLatticePolygon):
             chow_poly(heptagon)
+
+    def test_quadratic_remainder_names_both_sides(self, cp2_triangle, monkeypatch):
+        import polychow.chow as chow_module
+
+        sum_poly = chow_module.sum_poly
+        monkeypatch.setattr(chow_module, "sum_poly",
+                            lambda polygon: sum_poly(polygon) + VecPoly(Vec2.of(1, 0), ZERO, ZERO))
+        with pytest.raises(InternalInconsistency) as excinfo:
+            chow_poly(cp2_triangle)
+        message = str(excinfo.value)
+        assert "[(0, 0), (3, 0), (0, 3)]" in message
+        assert "Vol * s2" in message and "E2 * moment" in message
 
     @pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
     def test_poly_matches_eval(self, hexagon, i):

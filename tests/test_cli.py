@@ -294,6 +294,24 @@ class TestReplicate:
         assert all(entry["status"] == "pass" for entry in report["fixtures"])
 
 
+class TestArguments:
+    @pytest.mark.parametrize("argv", [["ehrhart", "{file}", "--i", "x"], ["frobnicate"], []])
+    def test_argument_error_exit_one(self, capsys, triangle_file, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([a.format(file=triangle_file) for a in argv])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["chow", "--help"]])
+    def test_help_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestBudget:
     def test_enumeration_cap_exit_one(self, capsys, triangle_file, monkeypatch):
         monkeypatch.setenv("POLYCHOW_MAX_ENUM", "3")

@@ -10,12 +10,14 @@ from polychow import (
     AffineMap,
     EnumerationLimitExceeded,
     IntMat2,
+    InternalInconsistency,
     NotLatticePolygon,
     Polygon,
     ScalarPoly,
     Vec2,
     VecPoly,
     apply_affine,
+    chow_poly,
     ehrhart_eval,
     ehrhart_poly,
     lattice_moments,
@@ -125,6 +127,56 @@ class TestEhrhart:
         poly = ehrhart_poly(hexagon)
         for i in range(1, 6):
             assert poly(i) == ehrhart_eval(hexagon, i)
+
+
+class TestClosedFormGates:
+    """The Pick and Euler-Maclaurin closed forms stay checked by enumeration."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        import polychow.counting as counting
+
+        calls = []
+        rows = counting._rows
+
+        def counted_rows(polygon, i):
+            calls.append(i)
+            return rows(polygon, i)
+
+        monkeypatch.setattr(counting, "_rows", counted_rows)
+        return calls
+
+    @pytest.mark.parametrize("polynomial, dilations", [
+        (ehrhart_poly, [2, 3]),
+        (sum_poly, [1, 3, 4]),
+        (chow_poly, [1, 3, 4, 2, 3]),
+    ])
+    def test_scans_per_polynomial(self, polynomial, dilations, scans):
+        polynomial(Polygon.from_coords([(0, 0), (3, 0), (0, 3)]))
+        assert scans == dilations
+
+    def test_corrupted_pick_term_raises(self, cp2_triangle, monkeypatch):
+        import polychow.counting as counting
+
+        monkeypatch.setattr(counting, "boundary_lattice_length",
+                            lambda polygon: Fraction(10))
+        with pytest.raises(InternalInconsistency) as excinfo:
+            ehrhart_poly(cp2_triangle)
+        message = str(excinfo.value)
+        # the polygon, the dilation and both sides: 9/2*4 + 5*2 + 1 against 28
+        assert "[(0, 0), (3, 0), (0, 3)]" in message
+        assert "i=2" in message
+        assert "closed form 29, enumerated 28" in message
+
+    def test_corrupted_boundary_moment_raises(self, cp2_triangle, monkeypatch):
+        import polychow.counting as counting
+
+        monkeypatch.setattr(counting, "boundary_moment", lambda polygon: Vec2.of(10, 9))
+        with pytest.raises(InternalInconsistency) as excinfo:
+            sum_poly(cp2_triangle)
+        message = str(excinfo.value)
+        assert "[(0, 0), (3, 0), (0, 3)]" in message and "i=3" in message
+        assert "closed form" in message and "enumerated" in message
 
 
 class TestSumPoints:

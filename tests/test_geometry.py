@@ -63,6 +63,19 @@ class TestCanonicalize:
         with pytest.raises(DegeneratePolytope):
             Polygon(tuple(vecs([(3, 0), (0, 3), (0, 0)])))  # wrong start vertex
 
+    @pytest.mark.parametrize("coords, message", [
+        ([(0, 0), (1, 0)], "at least three vertices"),
+        ([(0, 0), (0, 3), (3, 0)], "strictly convex and counter-clockwise"),
+        ([(0, 0), (1, 0), (2, 0), (0, 2)], "strictly convex and counter-clockwise"),
+        ([(0, 0), (0, 0), (1, 0), (0, 1)], "strictly convex and counter-clockwise"),
+        ([(0, 3), (0, 0), (3, 0)], "canonical form starts at the smallest vertex"),
+        ([(Fraction(1, 2), 0), (0, Fraction(1, 3)), (0, 0)],
+         "canonical form starts at the smallest vertex"),
+    ])
+    def test_direct_constructor_messages(self, coords, message):
+        with pytest.raises(DegeneratePolytope, match=message):
+            Polygon(tuple(vecs(coords)))
+
 
 class TestMeasures:
     def test_unit_square_area(self, unit_square):

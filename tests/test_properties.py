@@ -18,9 +18,11 @@ from polychow import (
     apply_affine,
     area,
     boundary_lattice_length,
+    boundary_moment,
     canonicalize,
     chow_eval,
     corner_frame,
+    denominator_lcm,
     ehrhart_eval,
     ehrhart_poly,
     is_delzant,
@@ -155,6 +157,29 @@ def test_kernel_matches_oracle_on_rational_polygons(points, far, near, i):
     assert_kernel_matches(polygon, i, brute.enumerate_points(coords, i))
 
 
+@given(
+    st.lists(st.tuples(RATIONAL, RATIONAL), min_size=3, max_size=8),
+    st.tuples(FAR, FAR),
+    st.one_of(st.just(0), st.integers(1, 10**4)),
+)
+@settings(max_examples=80, deadline=None)
+def test_integer_core_matches_fraction_formulas(points, offset, h):
+    # rational polygons, moved by about 10^12 and sheared by (1, 0; h, 1)
+    try:
+        polygon = canonicalize(
+            [Vec2.of(x + offset[0], h * x + y + offset[1]) for x, y in points]
+        )
+    except DegeneratePolytope:
+        assume(False)
+    coords = [v.as_tuple() for v in polygon.vertices]
+    assert area(polygon) == brute.shoelace_area(coords)
+    assert moment_integral(polygon).as_tuple() == brute.fan_moment(coords)
+    assert moment_integral(polygon).as_tuple() == brute.green_moment(coords)
+    assert boundary_lattice_length(polygon) == brute.lattice_boundary_length(coords)
+    assert boundary_moment(polygon).as_tuple() == brute.lattice_boundary_moment(coords)
+    assert denominator_lcm(polygon) == brute.denominator_lcm(coords)
+
+
 @given(st.integers(1, 10**4), st.tuples(FAR, FAR), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_kernel_matches_oracle_on_thin_slivers(h, offset, i):
@@ -191,10 +216,16 @@ def test_mukai_matches_rescan_oracle(rows):
         representatives.append((factor * x, factor * y, factor * z))
     representatives = representatives[:25]
     assume(representatives)
-    for configuration in (PointConfiguration.of(representatives),
-                          PointConfiguration(tuple(representatives))):
-        result = mukai_classify(configuration)
-        w = result.witness
-        assert (result.verdict, w.dim, w.coordinates, w.incident, w.ratio, w.bound) == (
-            brute.mukai_brute(configuration.points)
-        )
+    configuration = PointConfiguration.of(representatives)
+    result = mukai_classify(configuration)
+    w = result.witness
+    assert (result.verdict, w.dim, w.coordinates, w.incident, w.ratio, w.bound) == (
+        brute.mukai_brute(configuration.points)
+    )
+    # built directly, only normalized representatives are accepted
+    raw = tuple(representatives)
+    if raw == configuration.points:
+        assert PointConfiguration(raw) == configuration
+    else:
+        with pytest.raises(ValueError, match="not primitive"):
+            PointConfiguration(raw)

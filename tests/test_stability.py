@@ -215,10 +215,29 @@ class TestMukai:
         assert result.witness.coordinates == (0, 0, 1)
 
     def test_two_representatives_of_one_point_rejected(self):
-        # built directly, not through `of`: the pair's cross product vanishes
-        configuration = PointConfiguration(((1, 2, 3), (0, 0, 1), (-2, -4, -6)))
-        with pytest.raises(ValueError, match="projective coordinates cannot all vanish"):
-            mukai_classify(configuration)
+        # built directly, not through `of`: the second representative of
+        # (1, 2, 3) is neither primitive nor of canonical sign
+        with pytest.raises(ValueError, match="not primitive"):
+            PointConfiguration(((1, 2, 3), (0, 0, 1), (-2, -4, -6)))
+
+    @pytest.mark.parametrize("points, error, message", [
+        (((0, 0, 0),), ValueError, "projective coordinates cannot all vanish"),
+        (((1, 0, 0), (0, 0, 0)), ValueError, "projective coordinates cannot all vanish"),
+        (((2, 0, 0),), ValueError, "not primitive"),
+        (((0, -1, 1),), ValueError, "not primitive"),
+        (((1, 0),), ValueError, "triple of integers"),
+        (((1, Fraction(1, 2), 0),), ValueError, "triple of integers"),
+        (((1, 0, 0), (0, 1, 0), (1, 0, 0)), DuplicatePoint, "pairwise distinct"),
+    ])
+    def test_direct_construction_validated(self, points, error, message):
+        with pytest.raises(error, match=message):
+            PointConfiguration(points)
+
+    def test_of_equals_direct_construction(self):
+        normalized = ((1, 0, 3), (0, 1, 0), (1, -1, 0))
+        assert config((Fraction(1, 2), 0, Fraction(3, 2)), (0, -2, 0), (-1, 1, 0)) == (
+            PointConfiguration(normalized)
+        )
 
     def test_pairs_charged_against_budget(self, monkeypatch):
         monkeypatch.setenv("POLYCHOW_MAX_ENUM", "10")
