@@ -101,15 +101,10 @@ class Decomposition:
     m_square_sum: int
     a_const: int
     b_const: int
-    base_scaled_delzant: bool
     chopped_scaled_delzant: bool
     # k * base and k * chopped, built once by chop_corners
     _scaled_base: Polygon = field(repr=False, compare=False)
     _scaled_chopped: Polygon = field(repr=False, compare=False)
-
-    @property
-    def cut_vertices(self) -> tuple[Vec2, ...]:
-        return tuple(c.vertex for c in self.cuts)
 
     def scaled_base(self) -> Polygon:
         return self._scaled_base
@@ -249,7 +244,6 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
         m_square_sum=m_square_sum,
         a_const=int(a_const),
         b_const=int(b_const),
-        base_scaled_delzant=is_delzant(scaled_base),
         chopped_scaled_delzant=is_delzant(scaled_chopped),
         _scaled_base=scaled_base,
         _scaled_chopped=scaled_chopped,

@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_file:
             p.add_argument("file", help="polytope JSON file: {\"vertices\": [[\"0\",\"0\"], ...]}")
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
-        p.add_argument("--text", action="store_true", help="emit the report as text (default)")
         return p
 
     add("info", "areas, lattice data and Delzant status of a polygon")
@@ -245,14 +244,15 @@ def _cmd_blowup(args) -> tuple[dict, int]:
 
 def _cmd_fo(args) -> tuple[dict, int]:
     polygon = load_polytope(args.file)
+    centrally_symmetric = is_centrally_symmetric(polygon)
     report: dict = {
         "fo": [
             {"i": i, "value": fmt_vec(fo_invariant(polygon, i))}
             for i in range(1, max(args.i, 1) + 1)
         ],
-        "centrally_symmetric": is_centrally_symmetric(polygon),
+        "centrally_symmetric": centrally_symmetric,
     }
-    if is_centrally_symmetric(polygon):
+    if centrally_symmetric:
         reflection = SymmetryGroup.generated_by([IntMat2(-1, 0, 0, -1)])
         report["weakly_symmetric_via_point_reflection"] = is_weakly_symmetric(
             polygon, reflection
@@ -334,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report.update(body)
-    sys.stdout.write(render_report(report, as_json=bool(getattr(args, "json", False))))
+    sys.stdout.write(render_report(report, as_json=args.json))
     elapsed_ms = (time.monotonic() - started) * 1000.0
     print(f"# duration: {elapsed_ms:.1f} ms", file=sys.stderr)
     return exit_code

@@ -248,18 +248,6 @@ def _require_integral(*points: Vec2) -> None:
             raise ValueError("segment endpoints must be integral")
 
 
-def segment_lattice_points(p: Vec2, q: Vec2) -> list[tuple[int, int]]:
-    """Integer points on the closed segment from p to q (integral endpoints)."""
-    _require_integral(p, q)
-    dx = int(q.x - p.x)
-    dy = int(q.y - p.y)
-    steps = gcd(dx, dy)
-    if steps == 0:
-        return [(int(p.x), int(p.y))]
-    ux, uy = dx // steps, dy // steps
-    return [(int(p.x) + j * ux, int(p.y) + j * uy) for j in range(steps + 1)]
-
-
 def segment_count(p: Vec2, q: Vec2, i: int) -> int:
     """Number of sample points of the i-th subdivision on the segment: the
     lattice length of i*(q - p) plus one."""

@@ -169,7 +169,8 @@ def _fixture_octagon_chop() -> FixtureResult:
     return FixtureResult("octagon-corner-chop", tuple(checks))
 
 
-def _quadrilateral(a: int, b: int, n: int) -> Polygon:
+def quadrilateral(a: int, b: int, n: int) -> Polygon:
+    """The non-rectangular Delzant quadrilateral with heights a, b and slant n."""
     return Polygon.from_coords([(0, 0), (0, a), (b, a), (b + a * n, 0)])
 
 
@@ -178,7 +179,7 @@ def _fixture_quadrilateral_sweep() -> FixtureResult:
     for a in range(1, 5):
         for b in range(1, 5):
             for n in range(1, 5):
-                p = _quadrilateral(a, b, n)
+                p = quadrilateral(a, b, n)
                 tag = f"a={a} b={b} n={n}"
                 vol = Fraction(a * b) + Fraction(a * a * n, 2)
                 expected_e = ScalarPoly(vol, Fraction(a + b) + Fraction(a * n, 2), Fraction(1))

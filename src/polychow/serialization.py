@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import DuplicatePoint, ParseError
-from .geometry import IntMat2, Polygon, Vec2
+from .geometry import IntMat2, Polygon, Vec2, canonicalize
 from .blowup import CornerCut
 from .counting import ScalarPoly, VecPoly
 from .stability import PointConfiguration, SymmetryGroup
@@ -69,6 +69,17 @@ def _load_json(path: str | Path) -> object:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
+def _load_list(path: str | Path, key: str, min_length: int, requirement: str) -> list:
+    """The list held under `key` by the JSON object in the file."""
+    data = _load_json(path)
+    if not isinstance(data, dict) or key not in data:
+        raise ParseError(f"{path}: expected an object with a '{key}' key")
+    raw = data[key]
+    if not isinstance(raw, list) or len(raw) < min_length:
+        raise ParseError(f"{path}: '{key}' {requirement}")
+    return raw
+
+
 def _coordinate_pair(raw, where: str) -> Vec2:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ParseError(f"{where}: expected a coordinate pair, got {raw!r}")
@@ -77,26 +88,15 @@ def _coordinate_pair(raw, where: str) -> Vec2:
 
 def load_polytope(path: str | Path) -> Polygon:
     """Read {"vertices": [["0","0"], ...]} into a canonical polygon."""
-    data = _load_json(path)
-    if not isinstance(data, dict) or "vertices" not in data:
-        raise ParseError(f"{path}: expected an object with a 'vertices' key")
-    raw = data["vertices"]
-    if not isinstance(raw, list) or len(raw) < 3:
-        raise ParseError(f"{path}: 'vertices' must list at least three coordinate pairs")
-    points = [
-        _coordinate_pair(entry, f"{path}: vertices[{idx}]") for idx, entry in enumerate(raw)
-    ]
-    return Polygon.from_coords([p.as_tuple() for p in points])
+    raw = _load_list(path, "vertices", 3, "must list at least three coordinate pairs")
+    return canonicalize(
+        [_coordinate_pair(entry, f"{path}: vertices[{idx}]") for idx, entry in enumerate(raw)]
+    )
 
 
 def load_cuts(path: str | Path) -> list[CornerCut]:
     """Read {"cuts": [{"vertex": ["0","0"], "depth": "1/2"}, ...]}."""
-    data = _load_json(path)
-    if not isinstance(data, dict) or "cuts" not in data:
-        raise ParseError(f"{path}: expected an object with a 'cuts' key")
-    raw = data["cuts"]
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}: 'cuts' must be a list")
+    raw = _load_list(path, "cuts", 0, "must be a list")
     cuts = []
     for idx, entry in enumerate(raw):
         where = f"{path}: cuts[{idx}]"
@@ -110,12 +110,7 @@ def load_cuts(path: str | Path) -> list[CornerCut]:
 
 def load_points(path: str | Path) -> PointConfiguration:
     """Read {"points": [["1","0","0"], ...]} into a point configuration."""
-    data = _load_json(path)
-    if not isinstance(data, dict) or "points" not in data:
-        raise ParseError(f"{path}: expected an object with a 'points' key")
-    raw = data["points"]
-    if not isinstance(raw, list) or not raw:
-        raise ParseError(f"{path}: 'points' must be a non-empty list")
+    raw = _load_list(path, "points", 1, "must be a non-empty list")
     rows = []
     for idx, entry in enumerate(raw):
         where = f"{path}: points[{idx}]"
@@ -130,12 +125,7 @@ def load_points(path: str | Path) -> PointConfiguration:
 
 def load_group(path: str | Path) -> SymmetryGroup:
     """Read {"generators": [[[0,-1],[1,-1]], ...]} (row-major matrices)."""
-    data = _load_json(path)
-    if not isinstance(data, dict) or "generators" not in data:
-        raise ParseError(f"{path}: expected an object with a 'generators' key")
-    raw = data["generators"]
-    if not isinstance(raw, list) or not raw:
-        raise ParseError(f"{path}: 'generators' must be a non-empty list")
+    raw = _load_list(path, "generators", 1, "must be a non-empty list")
     generators = []
     for idx, entry in enumerate(raw):
         where = f"{path}: generators[{idx}]"

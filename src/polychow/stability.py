@@ -49,7 +49,11 @@ FACTORIAL_N_PLUS_1 = 6  # (n+1)! in the plane
 
 def fo_invariant(polygon: Polygon, i: int) -> Vec2:
     """Average of the sample points minus the barycenter, at dilation i."""
-    count, sx, sy = lattice_moments(polygon, i)
+    return _fo_from_moments(polygon, i, lattice_moments(polygon, i))
+
+
+def _fo_from_moments(polygon: Polygon, i: int, moments: tuple[int, int, int]) -> Vec2:
+    count, sx, sy = moments
     if count == 0:
         raise HypothesisNotMet(f"no sample points at dilation {i}")
     m = moment_integral(polygon)
@@ -70,8 +74,7 @@ class SymmetryGroup:
     elements: frozenset[IntMat2]
 
     @classmethod
-    def generated_by(cls, generators: list[IntMat2] | tuple[IntMat2, ...],
-                     cap: int = GROUP_CLOSURE_CAP) -> "SymmetryGroup":
+    def generated_by(cls, generators: list[IntMat2] | tuple[IntMat2, ...]) -> "SymmetryGroup":
         for g in generators:
             if g.det() != 1:
                 raise ValueError(f"generator {g} must have determinant one")
@@ -86,9 +89,9 @@ class SymmetryGroup:
                     if product not in elements:
                         elements.add(product)
                         fresh.append(product)
-                        if len(elements) > cap:
+                        if len(elements) > GROUP_CLOSURE_CAP:
                             raise GroupClosureOverflow(
-                                f"group closure exceeds {cap} elements; "
+                                f"group closure exceeds {GROUP_CLOSURE_CAP} elements; "
                                 "the generated group is probably infinite"
                             )
             frontier = fresh
@@ -121,75 +124,67 @@ def c_constant(polygon: Polygon) -> Fraction:
     return Fraction(lattice_moments(polygon, 1)[0]) / area(polygon)
 
 
-_TEST_FUNCTIONS: tuple[tuple[str, Fraction, Fraction, Fraction], ...] = (
-    ("1", Fraction(0), Fraction(0), Fraction(1)),
-    ("x1", Fraction(1), Fraction(0), Fraction(0)),
-    ("x2", Fraction(0), Fraction(1), Fraction(0)),
-)
-
-
-def _require_sum_rule_hypotheses(decomposition: Decomposition) -> None:
-    if decomposition.k != 1:
+def _sum_rule_scans(
+    decomposition: Decomposition,
+) -> tuple[tuple[int, int, int], Fraction, Fraction]:
+    """Check the sum rule's hypotheses and return the chopped polygon's
+    count and coordinate sums at dilation one, with c_base and c_chop.
+    Each polygon is scanned once."""
+    d = decomposition
+    if d.k != 1:
         raise HypothesisNotMet(
-            f"the sum rule needs a lattice chopped polygon (k=1), got k={decomposition.k}"
+            f"the sum rule needs a lattice chopped polygon (k=1), got k={d.k}"
         )
-    if fo_invariant(decomposition.base, 1) != ZERO_VEC:
+    base = lattice_moments(d.base, 1)
+    if _fo_from_moments(d.base, 1, base) != ZERO_VEC:
         raise HypothesisNotMet("the base polygon's averaged-point invariant must vanish")
+    chopped = lattice_moments(d.chopped, 1)
+    return chopped, Fraction(base[0]) / area(d.base), Fraction(chopped[0]) / area(d.chopped)
+
+
+def _constant_condition(d: Decomposition, c_base: Fraction, c_chop: Fraction) -> Fraction:
+    return (
+        (c_base - c_chop) * area(d.base)
+        + (c_chop - FACTORIAL_N_PLUS_1) * sum((area(s) for s in d.simplices), Fraction(0))
+        + sum(segment_count(q, r, 1) for q, r in d.seams)
+    )
 
 
 def sum_rule_residuals(decomposition: Decomposition) -> dict[str, Fraction]:
     """Residuals of the corner-chop sum rule for the test functions
     1, x1, x2.
 
-    For each affine test function the lattice-point sum over the chopped
-    polygon is compared with the combination of integrals over the chopped
+    For each test function the lattice-point sum over the chopped polygon
+    is compared with the combination of integrals over the chopped
     polygon, the base, and the cut simplices (weighted by the respective
     points-per-area constants) plus the lattice-point sums over the seams.
     Both sides are enumerated or integrated directly; the residual of a
-    decomposition satisfying the hypotheses is zero. The test functions
-    are affine, so each lattice-point sum is cx*(sum of x) + cy*(sum of y)
-    + c0*count.
+    decomposition satisfying the hypotheses is zero. The function 1 sums
+    to the point count and integrates to the area; x1 and x2 sum to the
+    coordinate sums and integrate to the moment, so the residuals are one
+    count term and one vector term.
     """
-    _require_sum_rule_hypotheses(decomposition)
+    (count, sx, sy), c_base, c_chop = _sum_rule_scans(decomposition)
     d = decomposition
-    c_base = c_constant(d.base)
-    c_chop = c_constant(d.chopped)
-    count, sx, sy = lattice_moments(d.chopped, 1)
-    seam_count = sum(segment_count(q, r, 1) for q, r in d.seams)
+    count_residual = count - (
+        c_chop * area(d.chopped) + _constant_condition(d, c_base, c_chop)
+    )
     identity = AffineMap.identity()
-    seam_sum = sum((segment_f_sum(q, r, identity, 1) for q, r in d.seams), ZERO_VEC)
-
-    residuals: dict[str, Fraction] = {}
-    for name, cx, cy, c0 in _TEST_FUNCTIONS:
-        def integral(polygon: Polygon) -> Fraction:
-            m = moment_integral(polygon)
-            return cx * m.x + cy * m.y + c0 * area(polygon)
-
-        lhs = cx * sx + cy * sy + c0 * count
-        rhs = c_chop * integral(d.chopped)
-        rhs += (c_base - c_chop) * integral(d.base)
-        rhs += (c_chop - FACTORIAL_N_PLUS_1) * sum(
-            (integral(s) for s in d.simplices), Fraction(0)
-        )
-        rhs += cx * seam_sum.x + cy * seam_sum.y + c0 * seam_count
-        residuals[name] = lhs - rhs
-    return residuals
+    sum_residual = Vec2.of(sx, sy) - (
+        moment_integral(d.chopped) * c_chop
+        + moment_integral(d.base) * (c_base - c_chop)
+        + sum((moment_integral(s) for s in d.simplices), ZERO_VEC) * (c_chop - FACTORIAL_N_PLUS_1)
+        + sum((segment_f_sum(q, r, identity, 1) for q, r in d.seams), ZERO_VEC)
+    )
+    return {"1": count_residual, "x1": sum_residual.x, "x2": sum_residual.y}
 
 
 def sum_rule_constant_condition(decomposition: Decomposition) -> Fraction:
     """The closed combination that the constant test function reduces the
     sum rule to: weighted areas of base and cut simplices plus the seam
     lattice-point counts. Zero under the sum rule's hypotheses."""
-    _require_sum_rule_hypotheses(decomposition)
-    d = decomposition
-    c_base = c_constant(d.base)
-    c_chop = c_constant(d.chopped)
-    seam_count = sum(segment_count(q, r, 1) for q, r in d.seams)
-    return (
-        (c_base - c_chop) * area(d.base)
-        + (c_chop - FACTORIAL_N_PLUS_1) * sum((area(s) for s in d.simplices), Fraction(0))
-        + seam_count
-    )
+    _, c_base, c_chop = _sum_rule_scans(decomposition)
+    return _constant_condition(decomposition, c_base, c_chop)
 
 
 def _primitive_triple(raw: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -120,6 +120,16 @@ def boundary_points(coords) -> set[tuple[int, int]]:
     return found
 
 
+def segment_lattice_points(p: tuple[int, int], q: tuple[int, int]) -> list[tuple[int, int]]:
+    """Integer points on the closed segment from p to q, in order from p."""
+    (px, py), (qx, qy) = p, q
+    steps = gcd(qx - px, qy - py)
+    if steps == 0:
+        return [(px, py)]
+    ux, uy = (qx - px) // steps, (qy - py) // steps
+    return [(px + j * ux, py + j * uy) for j in range(steps + 1)]
+
+
 def edge_lattice_data(coords):
     """(lattice length, midpoint) per edge, from primitive directions."""
     pts = frac_points(coords)

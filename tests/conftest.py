@@ -6,32 +6,30 @@ import pytest
 
 from polychow import CornerCut, Polygon, chop_corners
 
-# shared reference polygons: the degree-3 plane triangle and the chain of
-# polygons obtained from it by successive corner chops
-CP2_TRIANGLE_COORDS = [(0, 0), (3, 0), (0, 3)]
-HEXAGON_COORDS = [(1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)]
-SYMMETRIC_HEXAGON_COORDS = [(-2, 1), (1, 1), (2, 0), (2, -1), (-1, -1), (-2, 0)]
-UNIT_SQUARE_COORDS = [(0, 0), (1, 0), (1, 1), (0, 1)]
+# the degree-3 plane triangle, the hexagon it chops to, the symmetric
+# hexagon and the slanted quadrilateral family come from the replication
+# suite, the one place that embeds them
+from polychow.replicate import CP2_TRIANGLE, HEXAGON, SYMMETRIC_HEXAGON, quadrilateral
 
 
 @pytest.fixture(scope="session")
 def cp2_triangle() -> Polygon:
-    return Polygon.from_coords(CP2_TRIANGLE_COORDS)
+    return CP2_TRIANGLE
 
 
 @pytest.fixture(scope="session")
 def unit_square() -> Polygon:
-    return Polygon.from_coords(UNIT_SQUARE_COORDS)
+    return Polygon.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
 @pytest.fixture(scope="session")
 def hexagon() -> Polygon:
-    return Polygon.from_coords(HEXAGON_COORDS)
+    return HEXAGON
 
 
 @pytest.fixture(scope="session")
 def symmetric_hexagon() -> Polygon:
-    return Polygon.from_coords(SYMMETRIC_HEXAGON_COORDS)
+    return SYMMETRIC_HEXAGON
 
 
 @pytest.fixture(scope="session")
@@ -51,11 +49,6 @@ def octagon(hexagon) -> Polygon:
 def nonagon(octagon) -> Polygon:
     """Octagon with the (1,2) corner chopped at depth 1/4."""
     return chop_corners(octagon, [CornerCut.of((1, 2), Fraction(1, 4))]).chopped
-
-
-def quadrilateral(a: int, b: int, n: int) -> Polygon:
-    """The non-rectangular Delzant quadrilateral with heights a, b and slant n."""
-    return Polygon.from_coords([(0, 0), (0, a), (b, a), (b + a * n, 0)])
 
 
 # ---------------------------------------------------------------------------

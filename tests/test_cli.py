@@ -295,7 +295,10 @@ class TestReplicate:
 
 
 class TestArguments:
-    @pytest.mark.parametrize("argv", [["ehrhart", "{file}", "--i", "x"], ["frobnicate"], []])
+    @pytest.mark.parametrize(
+        "argv",
+        [["ehrhart", "{file}", "--i", "x"], ["frobnicate"], [], ["info", "{file}", "--text"]],
+    )
     def test_argument_error_exit_one(self, capsys, triangle_file, argv):
         with pytest.raises(SystemExit) as excinfo:
             main([a.format(file=triangle_file) for a in argv])

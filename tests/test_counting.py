@@ -28,7 +28,7 @@ from polychow import (
     sum_poly,
     translate,
 )
-from polychow.counting import segment_count, segment_f_sum, segment_lattice_points
+from polychow.counting import segment_count, segment_f_sum
 
 
 def coords_of(polygon):
@@ -293,11 +293,10 @@ class TestTransformationIdentities:
 
 class TestSegments:
     def test_segment_points(self):
-        pts = segment_lattice_points(Vec2.of(0, 2), Vec2.of(4, 0))
-        assert pts == [(0, 2), (2, 1), (4, 0)]
+        assert brute.segment_lattice_points((0, 2), (4, 0)) == [(0, 2), (2, 1), (4, 0)]
 
     def test_degenerate_segment(self):
-        assert segment_lattice_points(Vec2.of(3, 5), Vec2.of(3, 5)) == [(3, 5)]
+        assert brute.segment_lattice_points((3, 5), (3, 5)) == [(3, 5)]
 
     def test_segment_count_scaling(self):
         p, q = Vec2.of(1, 0), Vec2.of(0, 1)
@@ -308,11 +307,15 @@ class TestSegments:
         p, q = Vec2.of(0, 2), Vec2.of(4, 0)
         f = AffineMap.identity()
         total = segment_f_sum(p, q, f, 2)
-        pts = segment_lattice_points(p * 2, q * 2)
+        pts = brute.segment_lattice_points((0, 4), (8, 0))
         expected_x = Fraction(sum(x for x, _ in pts), 2)
         expected_y = Fraction(sum(y for _, y in pts), 2)
         assert total == Vec2(expected_x, expected_y)
 
     def test_rational_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            segment_lattice_points(Vec2.of(Fraction(1, 2), 0), Vec2.of(1, 0))
+        p, q = Vec2.of(Fraction(1, 2), 0), Vec2.of(1, 0)
+        with pytest.raises(ValueError, match="integral"):
+            segment_count(p, q, 1)
+        with pytest.raises(ValueError, match="integral"):
+            segment_f_sum(p, q, AffineMap.identity(), 1)
+        assert segment_count(p, q, 2) == 2  # the check is on the dilated endpoints

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import brute
-from conftest import HEXAGON_COORDS, quadrilateral
+from conftest import quadrilateral
 from polychow import (
     AffineMap,
     DegeneratePolytope,
@@ -184,7 +184,7 @@ class TestCornerFrames:
 class TestTransforms:
     def test_scale_doubles_hexagon(self, hexagon):
         doubled = scale(hexagon, 2)
-        assert doubled == Polygon.from_coords([(2 * x, 2 * y) for x, y in HEXAGON_COORDS])
+        assert doubled == Polygon.from_coords([(2, 0), (4, 0), (4, 2), (2, 4), (0, 4), (0, 2)])
 
     def test_translation_of_unit_square(self, unit_square):
         moved = apply_affine(unit_square, AffineMap.translation(Vec2.of(1, 1)))

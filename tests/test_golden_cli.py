@@ -15,7 +15,7 @@ import contextlib
 import io
 import json
 import os
-import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -61,8 +61,6 @@ def test_cli_stdout_matches_golden(case, tmp_path, monkeypatch):
 
 
 def _regenerate() -> None:
-    import tempfile
-
     os.environ.pop("POLYCHOW_MAX_ENUM", None)
     data = _load()
     with tempfile.TemporaryDirectory() as directory:
@@ -74,4 +72,3 @@ def _regenerate() -> None:
 
 if __name__ == "__main__":
     _regenerate()
-    sys.exit(0)

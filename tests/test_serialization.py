@@ -111,6 +111,32 @@ class TestLoaders:
         group = load_group(path)
         assert len(group) == 2
 
+    @pytest.mark.parametrize(
+        "loader, payload, message",
+        [
+            (load_polytope, [], "expected an object with a 'vertices' key"),
+            (load_polytope, {"vertices": [["0", "0"], ["1", "0"]]},
+             "'vertices' must list at least three coordinate pairs"),
+            (load_cuts, {"vertex": []}, "expected an object with a 'cuts' key"),
+            (load_cuts, {"cuts": {}}, "'cuts' must be a list"),
+            (load_points, {}, "expected an object with a 'points' key"),
+            (load_points, {"points": []}, "'points' must be a non-empty list"),
+            (load_group, {"points": []}, "expected an object with a 'generators' key"),
+            (load_group, {"generators": "x"}, "'generators' must be a non-empty list"),
+        ],
+    )
+    def test_header_messages(self, tmp_path, loader, payload, message):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError) as excinfo:
+            loader(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_cuts_may_be_empty(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"cuts": []}))
+        assert load_cuts(path) == []
+
     def test_json_syntax_error_carries_line_and_column(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"vertices": [\n  ["0" "0"]\n]}')

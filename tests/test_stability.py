@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import brute
 from conftest import quadrilateral
 from polychow import (
     CornerCut,
@@ -159,6 +160,72 @@ class TestSumRule:
         residuals = sum_rule_residuals(d)
         assert any(r != 0 for r in residuals.values())
         assert sum_rule_constant_condition(d) != 0
+
+    @pytest.mark.parametrize(
+        "cuts",
+        [
+            [],
+            [((0, 0), 1)],
+            [((3, 0), 1)],
+            [((3, 0), 2)],
+            [((0, 0), 1), ((3, 0), 1), ((0, 3), 1)],
+        ],
+    )
+    def test_residuals_match_brute_force(self, cp2_triangle, cuts):
+        d = chop_corners(cp2_triangle, [CornerCut.of(v, depth) for v, depth in cuts])
+
+        def coords(polygon):
+            return [v.as_tuple() for v in polygon.vertices]
+
+        def integrals(polygon):
+            # the integrals of 1, x1 and x2
+            return (brute.shoelace_area(coords(polygon)), *brute.green_moment(coords(polygon)))
+
+        def c(polygon):
+            return brute.count_points(coords(polygon), 1) / brute.shoelace_area(coords(polygon))
+
+        c_base, c_chop = c(d.base), c(d.chopped)
+        seam_points = [
+            p
+            for q, r in d.seams
+            for p in brute.segment_lattice_points(
+                (int(q.x), int(q.y)), (int(r.x), int(r.y))
+            )
+        ]
+        lhs = (
+            brute.count_points(coords(d.chopped), 1),
+            *brute.point_sum(coords(d.chopped), 1),
+        )
+        seams = (len(seam_points), sum(p[0] for p in seam_points), sum(p[1] for p in seam_points))
+        expected = {}
+        for j, name in enumerate(("1", "x1", "x2")):
+            rhs = (
+                c_chop * integrals(d.chopped)[j]
+                + (c_base - c_chop) * integrals(d.base)[j]
+                + (c_chop - 6) * sum(integrals(s)[j] for s in d.simplices)
+                + seams[j]
+            )
+            expected[name] = lhs[j] - rhs
+        assert sum_rule_residuals(d) == expected
+        assert sum_rule_constant_condition(d) == -expected["1"]
+
+    @pytest.mark.parametrize("rule", [sum_rule_residuals, sum_rule_constant_condition])
+    def test_one_scan_per_polygon(self, cp2_triangle, monkeypatch, rule):
+        # one scan of the base and one of the chopped polygon, both at i = 1
+        import polychow.counting as counting
+
+        d = chop_corners(cp2_triangle, [CornerCut.of((0, 0), 1)])
+        scans = []
+        rows = counting._rows
+
+        def counted_rows(polygon, i):
+            scans.append((polygon, i))
+            return rows(polygon, i)
+
+        monkeypatch.setattr(counting, "_rows", counted_rows)
+        rule(d)
+        assert len(scans) == 2
+        assert set(scans) == {(d.base, 1), (d.chopped, 1)}
 
 
 def config(*rows):
