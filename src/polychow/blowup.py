@@ -294,7 +294,7 @@ def df_invariants(decomposition: Decomposition) -> tuple[Vec2, Vec2]:
     # is a lattice polygon
     frame_m3 = frame_m1 = vert_m2 = vert_m1 = Vec2(0, 0)
     for cut, frame, m in zip(d.cuts, d.frames, d.m):
-        col = Vec2(frame.a + frame.b, frame.c + frame.d)
+        col = frame.column_sum()
         vertex = Vec2(int(cut.vertex.x * k), int(cut.vertex.y * k))
         frame_m3 = frame_m3 + col * m**3
         frame_m1 = frame_m1 + col * m

@@ -29,7 +29,7 @@ from .geometry import (
     scale,
     translate,
 )
-from .counting import VecPoly, ehrhart_poly, lattice_moments, sum_poly
+from .counting import VecPoly, _counting_and_sum_polys, lattice_moments
 
 
 def integral_of_affine(polygon: Polygon, f: AffineMap) -> Vec2:
@@ -64,8 +64,7 @@ def chow_poly(polygon: Polygon) -> VecPoly:
     """
     vol = area(polygon)
     m = moment_integral(polygon)
-    s = sum_poly(polygon)
-    e = ehrhart_poly(polygon)
+    e, s = _counting_and_sum_polys(polygon)
     c2 = s.c2 * vol - m * e.c2
     if c2 != ZERO_VEC:
         raise InternalInconsistency(

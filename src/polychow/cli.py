@@ -164,6 +164,8 @@ def _cmd_sum(args) -> tuple[dict, int]:
 
 
 def _cmd_chow(args) -> tuple[dict, int]:
+    if args.laws < 0:
+        raise ValueError("--laws must be a nonnegative integer")
     polygon = load_polytope(args.file)
     report: dict = {}
     if args.poly:
@@ -243,12 +245,14 @@ def _cmd_blowup(args) -> tuple[dict, int]:
 
 
 def _cmd_fo(args) -> tuple[dict, int]:
+    if args.i < 1:
+        raise ValueError("dilation factor must be a positive integer")
     polygon = load_polytope(args.file)
     centrally_symmetric = is_centrally_symmetric(polygon)
     report: dict = {
         "fo": [
             {"i": i, "value": fmt_vec(fo_invariant(polygon, i))}
-            for i in range(1, max(args.i, 1) + 1)
+            for i in range(1, args.i + 1)
         ],
         "centrally_symmetric": centrally_symmetric,
     }

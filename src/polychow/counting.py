@@ -5,8 +5,8 @@ yields each row's first and last lattice point; `lattice_moments` sums the
 rows in closed form into (count, sum of x, sum of y), and every count or
 sum below is one call to it. The Ehrhart polynomial comes from Pick's
 theorem and the point-sum polynomial from the Euler-Maclaurin form of the
-lattice-normalized boundary measure, with one enumerated constant; both
-are cross-checked against enumeration at further dilations, and a
+lattice-normalized boundary measure, with one enumerated constant; one
+builder checks both against the scans at dilations 1, 2 and 3, and a
 mismatch raises InternalInconsistency instead of returning a silently
 wrong polynomial.
 """
@@ -25,11 +25,7 @@ from .geometry import (
     Polygon,
     Vec2,
     ZERO_VEC,
-    area,
-    boundary_lattice_length,
-    boundary_moment,
     is_lattice,
-    moment_integral,
 )
 
 MAX_ENUM_ENV = "POLYCHOW_MAX_ENUM"
@@ -176,26 +172,6 @@ def ehrhart_eval(polygon: Polygon, i: int) -> int:
     return lattice_moments(polygon, i)[0]
 
 
-def ehrhart_poly(polygon: Polygon) -> ScalarPoly:
-    """Counting polynomial of a lattice polygon.
-
-    Pick's theorem gives it from the area and the boundary lattice length b:
-    E(i) = area * i^2 + (b/2) * i + 1. It is verified against enumeration
-    at dilations 2 and 3.
-    """
-    if not is_lattice(polygon):
-        raise NotLatticePolygon("counting polynomial needs integral vertices")
-    poly = ScalarPoly(area(polygon), boundary_lattice_length(polygon) / 2, Fraction(1))
-    for i in (2, 3):
-        enumerated = ehrhart_eval(polygon, i)
-        if poly(i) != enumerated:
-            raise InternalInconsistency(
-                f"counting polynomial of polygon {polygon.vertex_text()} disagrees with "
-                f"enumeration at i={i}: closed form {poly(i)}, enumerated {enumerated}"
-            )
-    return poly
-
-
 def sum_points(polygon: Polygon, i: int) -> Vec2:
     """Sum of the sample points of the i-th subdivision: the lattice points
     of the i-th dilation divided by i."""
@@ -203,27 +179,52 @@ def sum_points(polygon: Polygon, i: int) -> Vec2:
     return Vec2(Fraction(sx, i), Fraction(sy, i))
 
 
-def sum_poly(polygon: Polygon) -> VecPoly:
-    """Closed form of the point-sum polynomial of a lattice polygon.
+def _counting_and_sum_polys(polygon: Polygon) -> tuple[ScalarPoly, VecPoly]:
+    """Counting polynomial E and point-sum polynomial s of a lattice polygon.
 
-    Euler-Maclaurin with the lattice-normalized boundary measure gives
+    Pick's theorem gives E(i) = area * i^2 + (b/2) * i + 1. Euler-Maclaurin
+    with the lattice-normalized boundary measure gives
     s(i) = m * i^2 + (bm/2) * i + c0 from the moment integral m and the
-    boundary moment bm; the constant c0 = s(1) - m - bm/2 takes one
-    enumeration. It is verified against enumeration at dilations 3 and 4.
+    boundary moment bm; c0 = s(1) - m - bm/2 takes the scan at i = 1. The
+    scans at i = 1, 2, 3 check E at all three and s at 2 and 3, in the
+    integers of the polygon's integer form (a2, b, M, BM): twice the count
+    is a2*i^2 + b*i + 2, and 12 times the coordinate sums over the i-th
+    dilation is 2*M*i^3 + 3*BM*i^2 + C*i with C = 12*s(1) - 2*M - 3*BM.
     """
     if not is_lattice(polygon):
-        raise NotLatticePolygon("sum polynomial needs integral vertices")
-    m = moment_integral(polygon)
-    half_bm = boundary_moment(polygon) * Fraction(1, 2)
-    poly = VecPoly(m, half_bm, sum_points(polygon, 1) - m - half_bm)
-    for i in (3, 4):
-        enumerated = sum_points(polygon, i)
-        if poly(i) != enumerated:
+        raise NotLatticePolygon("counting and sum polynomials need integral vertices")
+    form = polygon.integer
+    a2, b = form.twice_area, form.boundary_length
+    (mx, my), (bx, by) = form.moment, form.boundary_moment
+    for i in (1, 2, 3):
+        count, sx, sy = lattice_moments(polygon, i)
+        if i == 1:
+            cx, cy = 12 * sx - 2 * mx - 3 * bx, 12 * sy - 2 * my - 3 * by
+        e2 = (a2 * i + b) * i + 2
+        x12 = ((2 * mx * i + 3 * bx) * i + cx) * i
+        y12 = ((2 * my * i + 3 * by) * i + cy) * i
+        if (e2, x12, y12) != (2 * count, 12 * sx, 12 * sy):
             raise InternalInconsistency(
-                f"sum polynomial of polygon {polygon.vertex_text()} disagrees with "
-                f"enumeration at i={i}: closed form {poly(i)}, enumerated {enumerated}"
+                f"counting and sum polynomials of polygon {polygon.vertex_text()} disagree "
+                f"with enumeration at i={i}: closed form E = {Fraction(e2, 2)}, "
+                f"s = ({Fraction(x12, 12 * i)}, {Fraction(y12, 12 * i)}); enumerated "
+                f"E = {count}, s = ({Fraction(sx, i)}, {Fraction(sy, i)})"
             )
-    return poly
+    return ScalarPoly(Fraction(a2, 2), Fraction(b, 2), Fraction(1)), VecPoly(
+        Vec2(Fraction(mx, 6), Fraction(my, 6)),
+        Vec2(Fraction(bx, 4), Fraction(by, 4)),
+        Vec2(Fraction(cx, 12), Fraction(cy, 12)),
+    )
+
+
+def ehrhart_poly(polygon: Polygon) -> ScalarPoly:
+    """Counting polynomial of a lattice polygon, by Pick's theorem."""
+    return _counting_and_sum_polys(polygon)[0]
+
+
+def sum_poly(polygon: Polygon) -> VecPoly:
+    """Point-sum polynomial of a lattice polygon, by Euler-Maclaurin."""
+    return _counting_and_sum_polys(polygon)[1]
 
 
 def _f_sum_and_count(polygon: Polygon, f: AffineMap, i: int) -> tuple[Vec2, int]:

@@ -61,9 +61,6 @@ class Vec2:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "Vec2") -> Fraction:
-        return self.x * other.x + self.y * other.y
-
     def cross(self, other: "Vec2") -> Fraction:
         return self.x * other.y - self.y * other.x
 
@@ -107,7 +104,7 @@ class IntMat2:
         return ((self.a, self.c), (self.b, self.d))
 
     def column_sum(self) -> Vec2:
-        return Vec2(Fraction(self.a + self.b), Fraction(self.c + self.d))
+        return Vec2(self.a + self.b, self.c + self.d)
 
     def apply(self, v: Vec2) -> Vec2:
         return Vec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)

@@ -51,6 +51,22 @@ def nonagon(octagon) -> Polygon:
     return chop_corners(octagon, [CornerCut.of((1, 2), Fraction(1, 4))]).chopped
 
 
+@pytest.fixture
+def scans(monkeypatch) -> list[tuple[Polygon, int]]:
+    """(polygon, i) of every kernel row scan made while the test runs."""
+    import polychow.counting as counting
+
+    calls: list[tuple[Polygon, int]] = []
+    rows = counting._rows
+
+    def counted_rows(polygon, i):
+        calls.append((polygon, i))
+        return rows(polygon, i)
+
+    monkeypatch.setattr(counting, "_rows", counted_rows)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # acceptance reporting: one pass/fail line per criterion at the end of a run
 

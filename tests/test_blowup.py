@@ -208,6 +208,13 @@ class TestBlowupIdentity:
         assert poly.c1 == Vec2.of(Fraction(83, 12), Fraction(-83, 12))
         assert poly.c0 == Vec2.of(Fraction(13, 12), Fraction(-13, 12))
 
+    def test_hexagon_cut_scans(self, hexagon, scans):
+        # the scaled base at i = 1, 2, 3 for the point-sum constant in
+        # df_invariants, and again for chow_poly
+        d = hexagon_cut(hexagon)
+        chow_after_blowup(d)
+        assert scans == [(d.scaled_base(), i) for i in (1, 2, 3)] * 2
+
     def test_two_cut_chow_vanishes(self, hexagon):
         d = chop_corners(hexagon, [CornerCut.of((0, 2), HALF), CornerCut.of((2, 0), HALF)])
         assert chow_after_blowup(d).is_zero()
@@ -329,18 +336,8 @@ class TestGeneralIdentity:
             assert verify_general_identity(d, ID, 1) == ZERO
             assert verify_general_identity(d, random_affine(rng), 2) == ZERO
 
-    def test_one_scan_per_polygon_and_dilation(self, hexagon, monkeypatch):
+    def test_one_scan_per_polygon_and_dilation(self, hexagon, scans):
         # scaled base, one scaled cut simplex and the scaled chopped polygon
-        import polychow.counting as counting
-
-        scans = []
-        rows = counting._rows
-
-        def counted_rows(polygon, i):
-            scans.append((polygon, i))
-            return rows(polygon, i)
-
-        monkeypatch.setattr(counting, "_rows", counted_rows)
         assert verify_general_identity(hexagon_cut(hexagon), ID, 2) == ZERO
         assert len(scans) == 3
         assert len(set(scans)) == 3

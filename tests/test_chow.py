@@ -76,9 +76,13 @@ class TestChowPoly:
     def test_quadratic_remainder_names_both_sides(self, cp2_triangle, monkeypatch):
         import polychow.chow as chow_module
 
-        sum_poly = chow_module.sum_poly
-        monkeypatch.setattr(chow_module, "sum_poly",
-                            lambda polygon: sum_poly(polygon) + VecPoly(Vec2.of(1, 0), ZERO, ZERO))
+        polys = chow_module._counting_and_sum_polys
+
+        def shifted_polys(polygon):
+            e, s = polys(polygon)
+            return e, s + VecPoly(Vec2.of(1, 0), ZERO, ZERO)
+
+        monkeypatch.setattr(chow_module, "_counting_and_sum_polys", shifted_polys)
         with pytest.raises(InternalInconsistency) as excinfo:
             chow_poly(cp2_triangle)
         message = str(excinfo.value)

@@ -307,6 +307,22 @@ class TestArguments:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ehrhart", "{file}", "--i", "0"],
+            ["fo", "{file}", "--i", "0"],
+            ["fo", "{file}", "--i", "-5"],
+            ["chow", "{file}", "--laws", "-1"],
+            ["chow", "{file}", "--poly", "--laws", "-1"],
+        ],
+    )
+    def test_out_of_range_value_exit_one(self, capsys, triangle_file, argv):
+        assert main([a.format(file=triangle_file) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [["--help"], ["chow", "--help"]])
     def test_help_exit_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -132,51 +133,35 @@ class TestEhrhart:
 class TestClosedFormGates:
     """The Pick and Euler-Maclaurin closed forms stay checked by enumeration."""
 
-    @pytest.fixture
-    def scans(self, monkeypatch):
-        import polychow.counting as counting
-
-        calls = []
-        rows = counting._rows
-
-        def counted_rows(polygon, i):
-            calls.append(i)
-            return rows(polygon, i)
-
-        monkeypatch.setattr(counting, "_rows", counted_rows)
-        return calls
-
     @pytest.mark.parametrize("polynomial, dilations", [
-        (ehrhart_poly, [2, 3]),
-        (sum_poly, [1, 3, 4]),
-        (chow_poly, [1, 3, 4, 2, 3]),
+        (ehrhart_poly, [1, 2, 3]),
+        (sum_poly, [1, 2, 3]),
+        (chow_poly, [1, 2, 3]),
     ])
     def test_scans_per_polynomial(self, polynomial, dilations, scans):
-        polynomial(Polygon.from_coords([(0, 0), (3, 0), (0, 3)]))
-        assert scans == dilations
+        polygon = Polygon.from_coords([(0, 0), (3, 0), (0, 3)])
+        polynomial(polygon)
+        assert scans == [(polygon, i) for i in dilations]
 
-    def test_corrupted_pick_term_raises(self, cp2_triangle, monkeypatch):
-        import polychow.counting as counting
-
-        monkeypatch.setattr(counting, "boundary_lattice_length",
-                            lambda polygon: Fraction(10))
+    # an off-by-one entry of the triangle's integer form (twice the area 9,
+    # boundary length 9, moment (27, 27), boundary moment (18, 18)) against
+    # its enumerated counts 10, 28 and point sums (10, 10), (28, 28)
+    @pytest.mark.parametrize("field, value, i, closed, enumerated", [
+        ("twice_area", 10, 1, "E = 21/2, s = (10, 10)", "E = 10, s = (10, 10)"),
+        ("boundary_length", 10, 1, "E = 21/2, s = (10, 10)", "E = 10, s = (10, 10)"),
+        ("moment", (28, 27), 2, "E = 28, s = (57/2, 28)", "E = 28, s = (28, 28)"),
+        ("boundary_moment", (19, 18), 2, "E = 28, s = (113/4, 28)", "E = 28, s = (28, 28)"),
+    ], ids=["twice_area", "boundary_length", "moment", "boundary_moment"])
+    def test_corrupted_integer_form_raises(self, field, value, i, closed, enumerated):
+        polygon = Polygon.from_coords([(0, 0), (3, 0), (0, 3)])
+        object.__setattr__(polygon, "integer", replace(polygon.integer, **{field: value}))
         with pytest.raises(InternalInconsistency) as excinfo:
-            ehrhart_poly(cp2_triangle)
+            ehrhart_poly(polygon)
         message = str(excinfo.value)
-        # the polygon, the dilation and both sides: 9/2*4 + 5*2 + 1 against 28
         assert "[(0, 0), (3, 0), (0, 3)]" in message
-        assert "i=2" in message
-        assert "closed form 29, enumerated 28" in message
-
-    def test_corrupted_boundary_moment_raises(self, cp2_triangle, monkeypatch):
-        import polychow.counting as counting
-
-        monkeypatch.setattr(counting, "boundary_moment", lambda polygon: Vec2.of(10, 9))
-        with pytest.raises(InternalInconsistency) as excinfo:
-            sum_poly(cp2_triangle)
-        message = str(excinfo.value)
-        assert "[(0, 0), (3, 0), (0, 3)]" in message and "i=3" in message
-        assert "closed form" in message and "enumerated" in message
+        assert f"i={i}:" in message
+        assert f"closed form {closed}; enumerated {enumerated}" in message
+        assert "." not in message
 
 
 class TestSumPoints:

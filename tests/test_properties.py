@@ -180,6 +180,29 @@ def test_integer_core_matches_fraction_formulas(points, offset, h):
     assert denominator_lcm(polygon) == brute.denominator_lcm(coords)
 
 
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=8),
+    st.tuples(FAR, FAR),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+)
+@settings(max_examples=30, deadline=None)
+def test_counting_polynomials_match_oracle_far_out(points, far, near):
+    # the integer gates multiply coordinates of about 10^12 by i^3
+    ox, oy = far[0] + near[0], far[1] + near[1]
+    try:
+        polygon = canonicalize([Vec2.of(x + ox, y + oy) for x, y in points])
+    except DegeneratePolytope:
+        assume(False)
+    coords = [v.as_tuple() for v in polygon.vertices]
+    e = ehrhart_poly(polygon)
+    s = sum_poly(polygon)
+    for i in range(1, 6):
+        found = brute.enumerate_points(coords, i)
+        assert e(i) == len(found)
+        assert s(i) == Vec2(Fraction(sum(x for x, _ in found), i),
+                            Fraction(sum(y for _, y in found), i))
+
+
 @given(st.integers(1, 10**4), st.tuples(FAR, FAR), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_kernel_matches_oracle_on_thin_slivers(h, offset, i):

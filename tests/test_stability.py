@@ -210,19 +210,9 @@ class TestSumRule:
         assert sum_rule_constant_condition(d) == -expected["1"]
 
     @pytest.mark.parametrize("rule", [sum_rule_residuals, sum_rule_constant_condition])
-    def test_one_scan_per_polygon(self, cp2_triangle, monkeypatch, rule):
+    def test_one_scan_per_polygon(self, cp2_triangle, scans, rule):
         # one scan of the base and one of the chopped polygon, both at i = 1
-        import polychow.counting as counting
-
         d = chop_corners(cp2_triangle, [CornerCut.of((0, 0), 1)])
-        scans = []
-        rows = counting._rows
-
-        def counted_rows(polygon, i):
-            scans.append((polygon, i))
-            return rows(polygon, i)
-
-        monkeypatch.setattr(counting, "_rows", counted_rows)
         rule(d)
         assert len(scans) == 2
         assert set(scans) == {(d.base, 1), (d.chopped, 1)}
