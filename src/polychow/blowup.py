@@ -39,7 +39,6 @@ from .geometry import (
     Vec2,
     ZERO_VEC,
     area,
-    boundary_lattice_length,
     boundary_moment,
     canonicalize,
     corner_frame,
@@ -222,14 +221,9 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
 
     m_sum = sum(m)
     m_square_sum = sum(v * v for v in m)
-    boundary = boundary_lattice_length(scaled_base)
-    a_const = boundary - m_sum
-    b_const = 2 * area(scaled_base) - m_square_sum
-    if a_const.denominator != 1 or b_const.denominator != 1:
-        raise InternalInconsistency(
-            f"aggregate invariants of scaled base {scaled_base.vertex_text()} at lattice "
-            f"multiple k={k} are not integral: A={a_const}, B={b_const}"
-        )
+    # the scaled base is a lattice polygon, so its integer form has scale 1
+    a_const = scaled_base.integer.boundary_length - m_sum
+    b_const = scaled_base.integer.twice_area - m_square_sum
 
     return Decomposition(
         base=base,
@@ -242,8 +236,8 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
         m=tuple(m),
         m_sum=m_sum,
         m_square_sum=m_square_sum,
-        a_const=int(a_const),
-        b_const=int(b_const),
+        a_const=a_const,
+        b_const=b_const,
         chopped_scaled_delzant=is_delzant(scaled_chopped),
         _scaled_base=scaled_base,
         _scaled_chopped=scaled_chopped,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistency
 from .geometry import (
     AffineMap,
     IntMat2,
@@ -59,18 +58,14 @@ def chow_eval(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
 def chow_poly(polygon: Polygon) -> VecPoly:
     """Chow weight of the coordinate function as a polynomial in i.
 
-    The quadratic coefficient of Vol * s(i) - E(i) * moment must cancel;
-    a nonzero remainder means a convention bug, so it is fatal.
+    Vol * s(i) - E(i) * moment has no i^2 term: s's quadratic coefficient
+    is the moment and E's is Vol, both read from the same integer form as
+    `area` and `moment_integral`, so it is Vol * moment - moment * Vol.
+    `_counting_and_sum_polys` checks both against enumeration.
     """
     vol = area(polygon)
     m = moment_integral(polygon)
     e, s = _counting_and_sum_polys(polygon)
-    c2 = s.c2 * vol - m * e.c2
-    if c2 != ZERO_VEC:
-        raise InternalInconsistency(
-            f"Chow weight of polygon {polygon.vertex_text()} has a nonzero quadratic "
-            f"coefficient: Vol * s2 = {s.c2 * vol}, E2 * moment = {m * e.c2}"
-        )
     return VecPoly(ZERO_VEC, s.c1 * vol - m * e.c1, s.c0 * vol - m * e.c0)
 
 

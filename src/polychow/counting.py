@@ -32,17 +32,20 @@ MAX_ENUM_ENV = "POLYCHOW_MAX_ENUM"
 DEFAULT_MAX_ENUM = 10**8
 
 
-def enumeration_budget() -> int:
-    raw = os.environ.get(MAX_ENUM_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ENUM
+def _charge_budget(units: int, what: str) -> None:
+    """Refuse `units` of work over the cap in POLYCHOW_MAX_ENUM; `what`
+    says what the work is, for the message."""
+    raw = os.environ.get(MAX_ENUM_ENV, str(DEFAULT_MAX_ENUM))
     try:
         budget = int(raw)
     except ValueError as exc:
         raise EnumerationLimitExceeded(f"{MAX_ENUM_ENV} is not an integer: {raw!r}") from exc
     if budget < 1:
         raise EnumerationLimitExceeded(f"{MAX_ENUM_ENV} must be positive, got {budget}")
-    return budget
+    if units > budget:
+        raise EnumerationLimitExceeded(
+            f"{what}, over the cap of {budget} (set {MAX_ENUM_ENV} to raise the cap)"
+        )
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,14 @@ class VecPoly:
         return self.c2 == ZERO_VEC and self.c1 == ZERO_VEC and self.c0 == ZERO_VEC
 
 
+def _heights(polygon: Polygon, i: int) -> range:
+    """The rows a scan of the i-th dilation visits: every integer y between
+    its lowest and highest vertex."""
+    form = polygon.integer
+    ys = [y * i for _, y in form.vertices]
+    return range(-(-min(ys) // form.scale), max(ys) // form.scale + 1)
+
+
 def _rows(polygon: Polygon, i: int) -> Iterator[tuple[int, int, int]]:
     """Nonempty rows (y, first, last) of the i-th dilation's lattice points,
     bottom to top.
@@ -86,24 +97,16 @@ def _rows(polygon: Polygon, i: int) -> Iterator[tuple[int, int, int]]:
     the lcm L of their denominators) are scaled by i, so (x, y) lies in the
     dilation exactly when (L*x, L*y) lies in the scaled polygon, and each
     row's x bounds are one floor
-    division on the right chain and one on the left. The budget is charged
-    for every row before the scan starts, then for the points as they are
-    counted.
+    division on the right chain and one on the left. The rows are charged
+    to the budget before the scan starts.
     """
     if i < 1:
         raise ValueError("dilation factor must be a positive integer")
+    heights = _heights(polygon, i)
+    _charge_budget(len(heights), f"enumeration scans {len(heights)} rows")
     form = polygon.integer
     scale_l = form.scale
     verts = [(x * i, y * i) for x, y in form.vertices]
-    y_lo = -(-min(y for _, y in verts) // scale_l)
-    y_hi = max(y for _, y in verts) // scale_l
-    rows = max(0, y_hi - y_lo + 1)
-    budget = enumeration_budget()
-    if rows > budget:
-        raise EnumerationLimitExceeded(
-            f"enumeration scans {rows} rows, over the cap of {budget} rows plus points "
-            f"(set {MAX_ENUM_ENV} to raise the cap)"
-        )
 
     # interior is on the left of each CCW edge (px, py) -> (px+dx, py+dy):
     # dx*(L*y - py) - dy*(L*x - px) >= 0. With a = px*dy - dx*py that is
@@ -125,9 +128,8 @@ def _rows(polygon: Polygon, i: int) -> Iterator[tuple[int, int, int]]:
     right.sort()
     left.sort()
 
-    total = rows
     r = l = 0
-    for y in range(y_lo, y_hi + 1):
+    for y in heights:
         row = y * scale_l
         while right[r][0] < row:
             r += 1
@@ -137,15 +139,8 @@ def _rows(polygon: Polygon, i: int) -> Iterator[tuple[int, int, int]]:
         last = (a + c * y) // b
         _, a, c, b = left[l]
         first = -((a + c * y) // b)
-        if last < first:
-            continue
-        total += last - first + 1
-        if total > budget:
-            raise EnumerationLimitExceeded(
-                f"enumeration exceeds {budget} rows scanned plus points counted "
-                f"(set {MAX_ENUM_ENV} to raise the cap)"
-            )
-        yield y, first, last
+        if first <= last:
+            yield y, first, last
 
 
 def lattice_moments(polygon: Polygon, i: int) -> tuple[int, int, int]:
@@ -161,8 +156,13 @@ def lattice_moments(polygon: Polygon, i: int) -> tuple[int, int, int]:
 
 
 def lattice_points(polygon: Polygon, i: int) -> list[tuple[int, int]]:
-    """All integer points of the i-th dilation, lexicographically sorted."""
-    points = [(x, y) for y, first, last in _rows(polygon, i) for x in range(first, last + 1)]
+    """All integer points of the i-th dilation, lexicographically sorted; the
+    rows plus the points are charged to the budget before any is listed."""
+    rows = list(_rows(polygon, i))
+    scanned = len(_heights(polygon, i))
+    count = sum(last - first + 1 for _, first, last in rows)
+    _charge_budget(scanned + count, f"point listing scans {scanned} rows plus {count} points")
+    points = [(x, y) for y, first, last in rows for x in range(first, last + 1)]
     points.sort()
     return points
 

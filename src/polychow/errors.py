@@ -33,8 +33,8 @@ class InternalInconsistency(PolychowError):
 
 
 class EnumerationLimitExceeded(PolychowError):
-    """Lattice-point enumeration would exceed the configured budget of rows
-    scanned plus points counted."""
+    """A scan, point listing or incidence test would exceed the configured
+    budget of rows scanned, points listed or point pairs compared."""
 
 
 class InvalidCutVertex(PolychowError):

@@ -19,7 +19,6 @@ from math import gcd, isqrt, lcm
 from .errors import (
     DuplicatePoint,
     EmptyConfiguration,
-    EnumerationLimitExceeded,
     GroupClosureOverflow,
     HypothesisNotMet,
 )
@@ -34,8 +33,7 @@ from .geometry import (
     moment_integral,
 )
 from .counting import (
-    MAX_ENUM_ENV,
-    enumeration_budget,
+    _charge_budget,
     lattice_moments,
     segment_count,
     segment_f_sum,
@@ -281,12 +279,7 @@ def mukai_classify(configuration: PointConfiguration) -> MukaiResult:
     if count == 0:
         raise EmptyConfiguration("need at least one point")
     pairs = count * (count - 1) // 2
-    budget = enumeration_budget()
-    if pairs > budget:
-        raise EnumerationLimitExceeded(
-            f"incidence test compares {pairs} point pairs, over the cap of {budget} "
-            f"(set {MAX_ENUM_ENV} to raise the cap)"
-        )
+    _charge_budget(pairs, f"incidence test compares {pairs} point pairs")
 
     pairs_on_line: dict[tuple[int, int, int], int] = {}
     for j, (px, py, pz) in enumerate(points):

@@ -89,6 +89,13 @@ def count_points(coords, i: int) -> int:
     return len(enumerate_points(coords, i))
 
 
+def scan_rows(coords, i: int) -> int:
+    """Number of integer y between the lowest and highest vertex of the
+    i-th dilation: the rows a row scan visits."""
+    ys = [Fraction(y) * i for _, y in coords]
+    return max(0, floor(max(ys)) - ceil(min(ys)) + 1)
+
+
 def point_sum(coords, i: int) -> tuple[Fraction, Fraction]:
     pts = enumerate_points(coords, i)
     return (

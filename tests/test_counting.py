@@ -78,6 +78,14 @@ class TestLatticePoints:
         with pytest.raises(EnumerationLimitExceeded):
             lattice_points(cp2_triangle, 1)
 
+    def test_counting_charges_rows_only(self, cp2_triangle, monkeypatch):
+        # 4 rows and 10 points: counting pays for the rows, listing for both
+        monkeypatch.setenv("POLYCHOW_MAX_ENUM", "5")
+        assert ehrhart_eval(cp2_triangle, 1) == 10
+        assert lattice_moments(cp2_triangle, 1) == (10, 10, 10)
+        with pytest.raises(EnumerationLimitExceeded, match="4 rows plus 10 points"):
+            lattice_points(cp2_triangle, 1)
+
 
 class TestLatticeMoments:
     def test_triangle(self, cp2_triangle):

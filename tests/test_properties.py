@@ -12,6 +12,7 @@ from corpus import delzant_corpus, random_unimodular
 from polychow import (
     AffineMap,
     DegeneratePolytope,
+    EnumerationLimitExceeded,
     PointConfiguration,
     Polygon,
     Vec2,
@@ -252,3 +253,51 @@ def test_mukai_matches_rescan_oracle(rows):
     else:
         with pytest.raises(ValueError, match="not primitive"):
             PointConfiguration(raw)
+
+
+def refused(call, *args) -> bool:
+    try:
+        call(*args)
+    except EnumerationLimitExceeded:
+        return True
+    return False
+
+
+@given(
+    st.one_of(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=8),
+        st.integers(2, 30).map(lambda h: [(0, 0), (1, h), (0, 1)]),  # rows without points
+    ),
+    st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_cap_bounds_every_scan(points, i):
+    # counting pays for the rows it scans, listing for the rows plus the
+    # points it lists; rows and points come from the oracle, and the caps
+    # sit on both sides of each charge
+    try:
+        polygon = canonicalize([Vec2.of(x, y) for x, y in points])
+    except DegeneratePolytope:
+        assume(False)
+    coords = [v.as_tuple() for v in polygon.vertices]
+    rows = brute.scan_rows(coords, i)
+    count = brute.count_points(coords, i)
+    with pytest.MonkeyPatch.context() as mp:
+        for cap in {rows - 1, rows, rows + count - 1, rows + count} - {0}:
+            mp.setenv("POLYCHOW_MAX_ENUM", str(cap))
+            assert refused(lattice_moments, polygon, i) == (rows > cap)
+            assert refused(lattice_points, polygon, i) == (rows + count > cap)
+
+
+@given(projective_rows(2))
+@settings(max_examples=60, deadline=None)
+def test_cap_bounds_incidence_pairs(rows):
+    triples = {brute.primitive_triple((x, y, z)) for x, y, z, _ in rows if (x, y, z) != (0, 0, 0)}
+    assume(triples)
+    configuration = PointConfiguration.of(sorted(triples))
+    n = len(triples)
+    pairs = n * (n - 1) // 2
+    with pytest.MonkeyPatch.context() as mp:
+        for cap in {pairs - 1, pairs} - {-1, 0}:
+            mp.setenv("POLYCHOW_MAX_ENUM", str(cap))
+            assert refused(mukai_classify, configuration) == (pairs > cap)
