@@ -1,14 +1,17 @@
 """Lattice point enumeration and the degree-2 counting polynomials.
 
-Enumeration is the single source of truth here. One integer row scan
-yields each row's first and last lattice point; `lattice_moments` sums the
-rows in closed form into (count, sum of x, sum of y), and every count or
-sum below is one call to it. The Ehrhart polynomial comes from Pick's
-theorem and the point-sum polynomial from the Euler-Maclaurin form of the
-lattice-normalized boundary measure, with one enumerated constant; one
-builder checks both against the scans at dilations 1, 2 and 3, and a
-mismatch raises InternalInconsistency instead of returning a silently
-wrong polynomial.
+Enumeration is the single source of truth here. Each row of a dilation
+runs from a floor bound on its left chain edge to one on its right edge;
+`lattice_moments` sums those bounds edge by edge with floor sums into
+(count, sum of x, sum of y), in O(log) steps per edge and without visiting
+a row, and every count or sum below is one call to it. Only
+`lattice_points`, whose output is the list, scans the rows one by one.
+The Ehrhart polynomial comes from Pick's theorem and the point-sum
+polynomial from the Euler-Maclaurin form of the lattice-normalized
+boundary measure, with one enumerated constant; one builder checks both
+against the enumerated moments at dilations 1, 2 and 3, and a mismatch
+raises InternalInconsistency instead of returning a silently wrong
+polynomial.
 """
 
 from __future__ import annotations
@@ -81,53 +84,63 @@ class VecPoly:
         return self.c2 == ZERO_VEC and self.c1 == ZERO_VEC and self.c0 == ZERO_VEC
 
 
-def _heights(polygon: Polygon, i: int) -> range:
-    """The rows a scan of the i-th dilation visits: every integer y between
-    its lowest and highest vertex."""
-    form = polygon.integer
-    ys = [y * i for _, y in form.vertices]
-    return range(-(-min(ys) // form.scale), max(ys) // form.scale + 1)
-
-
-def _rows(polygon: Polygon, i: int) -> Iterator[tuple[int, int, int]]:
-    """Nonempty rows (y, first, last) of the i-th dilation's lattice points,
-    bottom to top.
-
-    Integer row scan: the vertices of the polygon's integer form (scaled by
-    the lcm L of their denominators) are scaled by i, so (x, y) lies in the
-    dilation exactly when (L*x, L*y) lies in the scaled polygon, and each
-    row's x bounds are one floor
-    division on the right chain and one on the left. The rows are charged
-    to the budget before the scan starts.
-    """
+def _charge_rows(polygon: Polygon, i: int) -> range:
+    """The rows of the i-th dilation, every integer y between its lowest and
+    highest vertex, charged to the budget before any work on them. Every
+    count, sum or listing of a dilation starts here, once; the rows bound
+    the size of the input, whether or not they are visited."""
     if i < 1:
         raise ValueError("dilation factor must be a positive integer")
-    heights = _heights(polygon, i)
+    form = polygon.integer
+    ys = [y * i for _, y in form.vertices]
+    heights = range(-(-min(ys) // form.scale), max(ys) // form.scale + 1)
     _charge_budget(len(heights), f"enumeration scans {len(heights)} rows")
+    return heights
+
+
+_Edge = tuple[int, int, int, int]
+
+
+def _chains(polygon: Polygon, i: int) -> tuple[list[_Edge], list[_Edge]]:
+    """Right and left chains of the i-th dilation, each edge as
+    (L*y of its top vertex, a, c, b), sorted bottom to top.
+
+    The vertices of the polygon's integer form (scaled by the lcm L of their
+    denominators) are scaled by i, so (x, y) lies in the dilation exactly
+    when (L*x, L*y) lies in the scaled polygon. The interior is on the left
+    of each CCW edge (px, py) -> (px+dx, py+dy):
+    dx*(L*y - py) - dy*(L*x - px) >= 0. With a = px*dy - dx*py, c = dx*L
+    and b = |dy|*L that is x <= (a + c*y) / b on the right chain (dy > 0)
+    and x >= -(a + c*y) / b on the left chain (dy < 0), so row y's last
+    point is (a + c*y) // b on its right edge and its first point is
+    -((a + c*y) // b) on its left edge, the first edge of each chain whose
+    top is at or above L*y. Horizontal edges lie on the first or last row
+    and bound nothing.
+    """
     form = polygon.integer
     scale_l = form.scale
     verts = [(x * i, y * i) for x, y in form.vertices]
-
-    # interior is on the left of each CCW edge (px, py) -> (px+dx, py+dy):
-    # dx*(L*y - py) - dy*(L*x - px) >= 0. With a = px*dy - dx*py that is
-    # x <= (a + dx*L*y) / (dy*L) on the right chain (dy > 0) and
-    # x >= -(a + dx*L*y) / (|dy|*L) on the left chain (dy < 0). Horizontal
-    # edges lie on the first or last row and bound nothing. Each chain is
-    # stored as (top L*y of the edge, a, dx*L, |dy|*L), sorted bottom to top.
-    right: list[tuple[int, int, int, int]] = []
-    left: list[tuple[int, int, int, int]] = []
-    n = len(verts)
-    for j in range(n):
-        px, py = verts[j]
-        qx, qy = verts[(j + 1) % n]
+    right: list[_Edge] = []
+    left: list[_Edge] = []
+    px, py = verts[-1]
+    for qx, qy in verts:
         dx, dy = qx - px, qy - py
         if dy > 0:
             right.append((qy, px * dy - dx * py, dx * scale_l, dy * scale_l))
         elif dy < 0:
             left.append((py, px * dy - dx * py, dx * scale_l, -dy * scale_l))
+        px, py = qx, qy
     right.sort()
     left.sort()
+    return right, left
 
+
+def _rows(polygon: Polygon, i: int, heights: range) -> Iterator[tuple[int, int, int]]:
+    """Nonempty rows (y, first, last) of the i-th dilation's lattice points,
+    bottom to top: one floor division per row on each chain. Only the point
+    listing scans rows; counts and sums come from `lattice_moments`."""
+    scale_l = polygon.integer.scale
+    right, left = _chains(polygon, i)
     r = l = 0
     for y in heights:
         row = y * scale_l
@@ -143,23 +156,70 @@ def _rows(polygon: Polygon, i: int) -> Iterator[tuple[int, int, int]]:
             yield y, first, last
 
 
+def _floor_sums(a: int, c: int, b: int, n: int) -> tuple[int, int, int]:
+    """(sum f, sum f^2, sum t*f) over t = 0 .. n-1 of f(t) = (a + c*t) // b,
+    for b > 0 (zeros when n = 0), by the Euclidean floor-sum recursion:
+    O(log b) steps, as in the AtCoder Library's floor_sum, carried to the
+    f^2 and t*f moments. One chain edge's rows y = y0 .. y1 are
+    t = y - y0 with a shifted to a + c*y0. n - 1 more than halves every two
+    levels, so the recursion is at most about 2*log2(n) deep: under 60
+    levels for the 10^8 rows of the default budget."""
+    qa, a = divmod(a, b)
+    qc, c = divmod(c, b)
+    # f(t) = qa + qc*t + r(t) with r(t) = (a + c*t) // b and 0 <= a, c < b
+    s1 = n * (n - 1) // 2
+    s2 = s1 * (2 * n - 1) // 3
+    s = qa * n + qc * s1
+    q = qa * qa * n + 2 * qa * qc * s1 + qc * qc * s2
+    t = qa * s1 + qc * s2
+    m = (a + c * (n - 1)) // b  # the largest r(t): 0 when c is 0 or n is 1
+    if m > 0:
+        # r(t) counts the j < m with t > u(j) = (b*j + b - a - 1) // c, and
+        # r(t)^2 sums 2j + 1 over the same j; f^2 gains 2*qa*r + 2*qc*t*r + r^2
+        us, uq, ut = _floor_sums(b - a - 1, b, c, m)
+        rs = m * (n - 1) - us
+        rt = (m * n * (n - 1) - uq - us) // 2
+        s += rs
+        q += 2 * qa * rs + 2 * qc * rt + m * m * (n - 1) - 2 * ut - us
+        t += rt
+    return s, q, t
+
+
 def lattice_moments(polygon: Polygon, i: int) -> tuple[int, int, int]:
     """(count, sum of x, sum of y) over the integer points of the i-th
-    dilation, each row summed in closed form; no point list is built."""
-    count = sx2 = sy = 0
-    for y, first, last in _rows(polygon, i):
-        length = last - first + 1
-        count += length
-        sx2 += (first + last) * length
-        sy += y * length
+    dilation, from floor sums over each chain edge's rows; no row is visited
+    and no point list is built.
+
+    Row y runs from first = -G(y) to last = F(y), the bounds of its left
+    and right edges, and F + G + 1 = last - first + 1 >= 0 on every row of
+    a convex polygon: a row without points has length 0, never less. So
+    over the n rows, count = sum F + sum G + n,
+    2 * sum x = sum (F - G) * (F + G + 1) = sum F^2 + F - G^2 - G and
+    sum y = sum y*F + sum y*G + sum y.
+    """
+    heights = _charge_rows(polygon, i)
+    scale_l = polygon.integer.scale
+    n = len(heights)
+    count, sx2, sy = n, 0, (heights.start + heights.stop - 1) * n // 2
+    for chain, sign in zip(_chains(polygon, i), (1, -1)):
+        # an edge bounds the rows above the edge below it, up to its top row
+        y0 = heights.start
+        for top, a, c, b in chain:
+            y1 = top // scale_l
+            f, f2, tf = _floor_sums(a + c * y0, c, b, y1 - y0 + 1)
+            count += f
+            sx2 += sign * (f2 + f)
+            sy += y0 * f + tf
+            y0 = y1 + 1
     return count, sx2 // 2, sy
 
 
 def lattice_points(polygon: Polygon, i: int) -> list[tuple[int, int]]:
     """All integer points of the i-th dilation, lexicographically sorted; the
     rows plus the points are charged to the budget before any is listed."""
-    rows = list(_rows(polygon, i))
-    scanned = len(_heights(polygon, i))
+    heights = _charge_rows(polygon, i)
+    rows = list(_rows(polygon, i, heights))
+    scanned = len(heights)
     count = sum(last - first + 1 for _, first, last in rows)
     _charge_budget(scanned + count, f"point listing scans {scanned} rows plus {count} points")
     points = [(x, y) for y, first, last in rows for x in range(first, last + 1)]

@@ -33,8 +33,9 @@ class InternalInconsistency(PolychowError):
 
 
 class EnumerationLimitExceeded(PolychowError):
-    """A scan, point listing or incidence test would exceed the configured
-    budget of rows scanned, points listed or point pairs compared."""
+    """A count, point listing or incidence test would exceed the configured
+    budget of rows of a dilation, rows plus points listed, or point pairs
+    compared."""
 
 
 class InvalidCutVertex(PolychowError):

@@ -234,7 +234,7 @@ class Polygon:
     consecutive vertices collinear, counter-clockwise orientation, first
     vertex lexicographically smallest. Use `canonicalize` to build one from
     arbitrary points. `integer` is the polygon's integer form, built once
-    by those checks; the measures below and the row scan read it.
+    by those checks; the measures below and the enumeration kernel read it.
     """
 
     vertices: tuple[Vec2, ...]

@@ -53,17 +53,18 @@ def nonagon(octagon) -> Polygon:
 
 @pytest.fixture
 def scans(monkeypatch) -> list[tuple[Polygon, int]]:
-    """(polygon, i) of every kernel row scan made while the test runs."""
+    """(polygon, i) of every kernel call made while the test runs: each
+    count, sum or listing of a dilation charges its rows once."""
     import polychow.counting as counting
 
     calls: list[tuple[Polygon, int]] = []
-    rows = counting._rows
+    charge_rows = counting._charge_rows
 
-    def counted_rows(polygon, i):
+    def counted_charge_rows(polygon, i):
         calls.append((polygon, i))
-        return rows(polygon, i)
+        return charge_rows(polygon, i)
 
-    monkeypatch.setattr(counting, "_rows", counted_rows)
+    monkeypatch.setattr(counting, "_charge_rows", counted_charge_rows)
     return calls
 
 

@@ -64,8 +64,8 @@ class TestChowPoly:
         assert chow_poly(scale(hexagon, 2)).is_zero()
 
     def test_large_dilation_under_default_cap(self, hexagon, monkeypatch):
-        # its scans at i = 1, 2, 3 count about 3.8e8 points, over the default
-        # cap of 1e8, but none scans more than 18001 rows
+        # its dilations at i = 1, 2, 3 hold about 3.8e8 points, over the
+        # default cap of 1e8, but none has more than 18001 rows
         monkeypatch.delenv("POLYCHOW_MAX_ENUM", raising=False)
         assert chow_poly(scale(hexagon, 3000)).is_zero()
 

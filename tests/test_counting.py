@@ -103,6 +103,13 @@ class TestLatticeMoments:
         with pytest.raises(ValueError):
             lattice_moments(unit_square, 0)
 
+    def test_million_row_sliver_under_default_cap(self, monkeypatch):
+        # three points on 10^6 + 1 rows: the floor sums do not visit them
+        monkeypatch.delenv("POLYCHOW_MAX_ENUM", raising=False)
+        sliver = Polygon.from_coords([(0, 0), (1, 10**6), (0, 1)])
+        assert ehrhart_eval(sliver, 1) == 3
+        assert lattice_moments(sliver, 1) == (3, 1, 10**6 + 1)
+
 
 class TestEhrhart:
     def test_hexagon_poly(self, hexagon):

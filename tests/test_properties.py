@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -36,6 +36,7 @@ from polychow import (
     sum_poly,
     translate,
 )
+from polychow.counting import _floor_sums
 
 ID = AffineMap.identity()
 
@@ -218,6 +219,70 @@ def test_kernel_matches_oracle_on_thin_slivers(h, offset, i):
         for x, y in brute.enumerate_points([(0, 0), (1, 0), (0, 1)], i)
     ]
     assert_kernel_matches(polygon, i, expected)
+
+
+NEAR = st.integers(-60, 60)
+
+
+@given(
+    st.one_of(NEAR, NEAR.map(lambda a: a + 10**12), NEAR.map(lambda a: a - 10**12)),
+    st.one_of(NEAR, st.integers(-(10**6), 10**6)),
+    st.one_of(st.just(1), st.integers(1, 60), st.integers(1, 10**6)),
+    st.integers(-40, 40),
+    st.integers(0, 60),
+)
+@example(a=5, c=-3, b=1, y0=-2, n=0)
+@example(a=-(10**12) - 7, c=-999_983, b=1_000_003, y0=-40, n=60)
+@settings(max_examples=300, deadline=None)
+def test_floor_sums_match_direct_sums(a, c, b, y0, n):
+    # one chain edge's bound F(y) = (a + c*y) // b over the n rows from y0,
+    # summed row by row; negative slopes and offsets, offsets near 10^12,
+    # b = 1 and no rows at all
+    rows = range(y0, y0 + n)
+    bounds = [(a + c * y) // b for y in rows]
+    s, q, t = _floor_sums(a + c * y0, c, b, n)
+    assert (s, q, y0 * s + t) == (
+        sum(bounds), sum(f * f for f in bounds), sum(y * f for y, f in zip(rows, bounds))
+    )
+
+
+TWISTS = ((1, 0, 0, 1), (1, 1, 0, 1), (-1, 0, 0, -1), (-1, -1, 0, -1))
+
+
+@given(
+    st.integers(1, 10**4),
+    st.sampled_from(TWISTS),
+    st.tuples(st.integers(-9, 9), st.integers(-99, 99)),
+    st.integers(1, 4),
+)
+@settings(max_examples=40, deadline=None)
+def test_moments_match_listing_on_twisted_slivers(h, twist, offset, i):
+    # the sliver (0, 0), (1, h), (0, 1) of the benchmark's family: the unit
+    # triangle under (1, 0; h, 1) times a twist, then moved; the floor sums
+    # and the row scan are the library's two routes to the same points
+    a, b, c, d = twist
+    u = (a, b, h * a + c, h * b + d)
+    polygon = canonicalize([
+        Vec2.of(u[0] * x + u[1] * y + offset[0], u[2] * x + u[3] * y + offset[1])
+        for x, y in ((0, 0), (1, 0), (0, 1))
+    ])
+    assert_kernel_matches(polygon, i, lattice_points(polygon, i))
+
+
+@given(
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=3, max_size=8),
+    st.tuples(FAR, FAR),
+    st.integers(1, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_moments_match_listing_at_large_dilations(points, far, i):
+    # lattice polygons, some moved by about 10^12, at dilations whose points
+    # the brute-force oracle's bounding-box search would take long to find
+    try:
+        polygon = canonicalize([Vec2.of(x + far[0], y + far[1]) for x, y in points])
+    except DegeneratePolytope:
+        assume(False)
+    assert_kernel_matches(polygon, i, lattice_points(polygon, i))
 
 
 def projective_rows(radius):
