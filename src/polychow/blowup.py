@@ -348,7 +348,11 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
         rhs = chow_eval(target, f, i)
         entries.append((i, lhs, rhs))
         if lhs != rhs:
-            raise VerificationMismatch(i, lhs, rhs, BlowupVerification(tuple(entries)))
+            where = (
+                f" on the scaled chopped polygon {target.vertex_text()} "
+                f"at lattice multiple k={decomposition.k}"
+            )
+            raise VerificationMismatch(i, lhs, rhs, BlowupVerification(tuple(entries)), where)
     return BlowupVerification(tuple(entries))
 
 

@@ -28,7 +28,7 @@ from .geometry import (
     is_lattice,
     moment_integral,
 )
-from .counting import ehrhart_eval, ehrhart_poly, sum_points, sum_poly
+from .counting import _charge_budget, ehrhart_eval, ehrhart_poly, sum_points, sum_poly
 from .chow import (
     chow_poly,
     chow_eval,
@@ -129,6 +129,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _charge_dilations(polygon: Polygon, calls: int, top: int, knob: str) -> None:
+    """Charge the rows that a loop of `calls` kernel calls at dilations up
+    to `top` will scan, before its first dilation. Each call scans at most
+    the rows of the top dilation, top * height + 1, so a stale large knob
+    is refused at once instead of running until it is killed."""
+    if calls < 1:
+        return
+    ys = [y for _, y in polygon.integer.vertices]
+    rows = calls * (top * (max(ys) - min(ys)) // polygon.integer.scale + 1)
+    _charge_budget(rows, f"{knob} scans up to {rows} rows")
+
+
 def _polygon_report(polygon: Polygon) -> dict:
     vol = area(polygon)
     moment = moment_integral(polygon)
@@ -179,6 +191,8 @@ def _cmd_chow(args) -> tuple[dict, int]:
         report["i"] = args.i
         report["chow"] = fmt_vec(chow_eval(polygon, AffineMap.identity(), args.i))
     if args.laws > 0:
+        # six Chow weights per i, the scaling law's two at dilation 2i
+        _charge_dilations(polygon, 6 * args.laws, 2 * args.laws, f"--laws {args.laws}")
         entries = []
         shift = Vec2.of(1, 1)
         shear = IntMat2.from_rows((1, 1), (0, 1))
@@ -205,6 +219,10 @@ def _cmd_blowup(args) -> tuple[dict, int]:
     polygon = load_polytope(args.file)
     cuts = load_cuts(args.cuts)
     decomposition = chop_corners(polygon, cuts)
+    if args.verify:
+        _charge_dilations(
+            decomposition.scaled_chopped(), args.imax, args.imax, f"--imax {args.imax}"
+        )
     df1, df2 = df_invariants(decomposition)
     after = chow_after_blowup(decomposition)
     report = {
@@ -248,6 +266,7 @@ def _cmd_fo(args) -> tuple[dict, int]:
     if args.i < 1:
         raise ValueError("dilation factor must be a positive integer")
     polygon = load_polytope(args.file)
+    _charge_dilations(polygon, args.i, args.i, f"--i {args.i}")
     centrally_symmetric = is_centrally_symmetric(polygon)
     report: dict = {
         "fo": [

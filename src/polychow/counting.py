@@ -2,10 +2,13 @@
 
 Enumeration is the single source of truth here. Each row of a dilation
 runs from a floor bound on its left chain edge to one on its right edge;
-`lattice_moments` sums those bounds edge by edge with floor sums into
+one kernel entry, `_charge_rows`, charges the rows and builds the chains,
+and `lattice_moments` sums the bounds edge by edge with floor sums into
 (count, sum of x, sum of y), in O(log) steps per edge and without visiting
-a row, and every count or sum below is one call to it. Only
-`lattice_points`, whose output is the list, scans the rows one by one.
+a row. Every count or sum below is one call to it. `lattice_points` takes
+its count from the same floor sums, is charged for rows plus points before
+it visits any row, and lists each edge's rows from the same bounds; there
+is no separate row scan.
 The Ehrhart polynomial comes from Pick's theorem and the point-sum
 polynomial from the Euler-Maclaurin form of the lattice-normalized
 boundary measure, with one enumerated constant; one builder checks both
@@ -17,7 +20,6 @@ polynomial.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -84,26 +86,16 @@ class VecPoly:
         return self.c2 == ZERO_VEC and self.c1 == ZERO_VEC and self.c0 == ZERO_VEC
 
 
-def _charge_rows(polygon: Polygon, i: int) -> range:
-    """The rows of the i-th dilation, every integer y between its lowest and
-    highest vertex, charged to the budget before any work on them. Every
-    count, sum or listing of a dilation starts here, once; the rows bound
-    the size of the input, whether or not they are visited."""
-    if i < 1:
-        raise ValueError("dilation factor must be a positive integer")
-    form = polygon.integer
-    ys = [y * i for _, y in form.vertices]
-    heights = range(-(-min(ys) // form.scale), max(ys) // form.scale + 1)
-    _charge_budget(len(heights), f"enumeration scans {len(heights)} rows")
-    return heights
-
-
 _Edge = tuple[int, int, int, int]
 
 
-def _chains(polygon: Polygon, i: int) -> tuple[list[_Edge], list[_Edge]]:
-    """Right and left chains of the i-th dilation, each edge as
-    (L*y of its top vertex, a, c, b), sorted bottom to top.
+def _charge_rows(polygon: Polygon, i: int) -> tuple[range, list[_Edge], list[_Edge]]:
+    """The rows of the i-th dilation, every integer y between its lowest and
+    highest vertex, charged to the budget before any work on them, and its
+    right and left chains, each edge as (L*y of its top vertex, a, c, b),
+    sorted bottom to top. Every count, sum or listing of a dilation starts
+    here, once; the rows bound the size of the input, whether or not they
+    are visited.
 
     The vertices of the polygon's integer form (scaled by the lcm L of their
     denominators) are scaled by i, so (x, y) lies in the dilation exactly
@@ -113,13 +105,18 @@ def _chains(polygon: Polygon, i: int) -> tuple[list[_Edge], list[_Edge]]:
     and b = |dy|*L that is x <= (a + c*y) / b on the right chain (dy > 0)
     and x >= -(a + c*y) / b on the left chain (dy < 0), so row y's last
     point is (a + c*y) // b on its right edge and its first point is
-    -((a + c*y) // b) on its left edge, the first edge of each chain whose
-    top is at or above L*y. Horizontal edges lie on the first or last row
-    and bound nothing.
+    -((a + c*y) // b) on its left edge. An edge bounds the rows above the
+    top of the edge below it, up to its own top row. Horizontal edges lie
+    on the first or last row and bound nothing.
     """
+    if i < 1:
+        raise ValueError("dilation factor must be a positive integer")
     form = polygon.integer
     scale_l = form.scale
     verts = [(x * i, y * i) for x, y in form.vertices]
+    ys = [y for _, y in verts]
+    rows = range(-(-min(ys) // scale_l), max(ys) // scale_l + 1)
+    _charge_budget(len(rows), f"enumeration scans {len(rows)} rows")
     right: list[_Edge] = []
     left: list[_Edge] = []
     px, py = verts[-1]
@@ -132,28 +129,7 @@ def _chains(polygon: Polygon, i: int) -> tuple[list[_Edge], list[_Edge]]:
         px, py = qx, qy
     right.sort()
     left.sort()
-    return right, left
-
-
-def _rows(polygon: Polygon, i: int, heights: range) -> Iterator[tuple[int, int, int]]:
-    """Nonempty rows (y, first, last) of the i-th dilation's lattice points,
-    bottom to top: one floor division per row on each chain. Only the point
-    listing scans rows; counts and sums come from `lattice_moments`."""
-    scale_l = polygon.integer.scale
-    right, left = _chains(polygon, i)
-    r = l = 0
-    for y in heights:
-        row = y * scale_l
-        while right[r][0] < row:
-            r += 1
-        while left[l][0] < row:
-            l += 1
-        _, a, c, b = right[r]
-        last = (a + c * y) // b
-        _, a, c, b = left[l]
-        first = -((a + c * y) // b)
-        if first <= last:
-            yield y, first, last
+    return rows, right, left
 
 
 def _floor_sums(a: int, c: int, b: int, n: int) -> tuple[int, int, int]:
@@ -185,10 +161,11 @@ def _floor_sums(a: int, c: int, b: int, n: int) -> tuple[int, int, int]:
     return s, q, t
 
 
-def lattice_moments(polygon: Polygon, i: int) -> tuple[int, int, int]:
-    """(count, sum of x, sum of y) over the integer points of the i-th
-    dilation, from floor sums over each chain edge's rows; no row is visited
-    and no point list is built.
+def _moments(
+    scale_l: int, rows: range, right: list[_Edge], left: list[_Edge]
+) -> tuple[int, int, int]:
+    """(count, sum of x, sum of y) over the rows, from floor sums over each
+    chain edge's rows y0 .. y1.
 
     Row y runs from first = -G(y) to last = F(y), the bounds of its left
     and right edges, and F + G + 1 = last - first + 1 >= 0 on every row of
@@ -197,13 +174,10 @@ def lattice_moments(polygon: Polygon, i: int) -> tuple[int, int, int]:
     2 * sum x = sum (F - G) * (F + G + 1) = sum F^2 + F - G^2 - G and
     sum y = sum y*F + sum y*G + sum y.
     """
-    heights = _charge_rows(polygon, i)
-    scale_l = polygon.integer.scale
-    n = len(heights)
-    count, sx2, sy = n, 0, (heights.start + heights.stop - 1) * n // 2
-    for chain, sign in zip(_chains(polygon, i), (1, -1)):
-        # an edge bounds the rows above the edge below it, up to its top row
-        y0 = heights.start
+    n = len(rows)
+    count, sx2, sy = n, 0, (rows.start + rows.stop - 1) * n // 2
+    for chain, sign in ((right, 1), (left, -1)):
+        y0 = rows.start
         for top, a, c, b in chain:
             y1 = top // scale_l
             f, f2, tf = _floor_sums(a + c * y0, c, b, y1 - y0 + 1)
@@ -214,15 +188,34 @@ def lattice_moments(polygon: Polygon, i: int) -> tuple[int, int, int]:
     return count, sx2 // 2, sy
 
 
+def lattice_moments(polygon: Polygon, i: int) -> tuple[int, int, int]:
+    """(count, sum of x, sum of y) over the integer points of the i-th
+    dilation, from floor sums over each chain edge's rows; no row is visited
+    and no point list is built."""
+    return _moments(polygon.integer.scale, *_charge_rows(polygon, i))
+
+
 def lattice_points(polygon: Polygon, i: int) -> list[tuple[int, int]]:
-    """All integer points of the i-th dilation, lexicographically sorted; the
-    rows plus the points are charged to the budget before any is listed."""
-    heights = _charge_rows(polygon, i)
-    rows = list(_rows(polygon, i, heights))
-    scanned = len(heights)
-    count = sum(last - first + 1 for _, first, last in rows)
-    _charge_budget(scanned + count, f"point listing scans {scanned} rows plus {count} points")
-    points = [(x, y) for y, first, last in rows for x in range(first, last + 1)]
+    """All integer points of the i-th dilation, lexicographically sorted.
+    The floor sums count the points first, and the rows plus the points are
+    charged to the budget before any row is visited; then each chain edge
+    gives the bound of its rows y0 .. y1, one floor division per row."""
+    scale_l = polygon.integer.scale
+    rows, right, left = _charge_rows(polygon, i)
+    count = _moments(scale_l, rows, right, left)[0]
+    _charge_budget(len(rows) + count, f"point listing scans {len(rows)} rows plus {count} points")
+    f_rows: list[int] = []  # F(y), the last point of each row
+    g_rows: list[int] = []  # G(y), minus the first point of each row
+    for chain, bounds in ((right, f_rows), (left, g_rows)):
+        y0 = rows.start
+        for top, a, c, b in chain:
+            y1 = top // scale_l
+            bounds += [(a + c * y) // b for y in range(y0, y1 + 1)]
+            y0 = y1 + 1
+    # a row without points has F + G = -1; skipping it is cheaper than an empty range
+    points = [
+        (x, y) for y, f, g in zip(rows, f_rows, g_rows) if f + g >= 0 for x in range(-g, f + 1)
+    ]
     points.sort()
     return points
 

@@ -35,7 +35,9 @@ class InternalInconsistency(PolychowError):
 class EnumerationLimitExceeded(PolychowError):
     """A count, point listing or incidence test would exceed the configured
     budget of rows of a dilation, rows plus points listed, or point pairs
-    compared."""
+    compared. Each is charged before the work starts: a listing is charged
+    its rows plus its points, counted by floor sums, before any row is
+    visited."""
 
 
 class InvalidCutVertex(PolychowError):
@@ -59,11 +61,12 @@ class VerificationMismatch(PolychowError):
     """The blow-up identity failed at some dilation factor.
 
     Carries the first differing dilation `i`, both sides, and the full
-    per-i report assembled so far.
+    per-i report assembled so far. `where` names the polygon that was
+    enumerated, so that the message alone reproduces the failure.
     """
 
-    def __init__(self, i, lhs, rhs, report=None):
-        super().__init__(f"blow-up identity fails at i={i}: {lhs} != {rhs}")
+    def __init__(self, i, lhs, rhs, report=None, where=""):
+        super().__init__(f"blow-up identity fails at i={i}{where}: {lhs} != {rhs}")
         self.i = i
         self.lhs = lhs
         self.rhs = rhs

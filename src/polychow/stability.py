@@ -160,13 +160,13 @@ def sum_rule_residuals(decomposition: Decomposition) -> dict[str, Fraction]:
     decomposition satisfying the hypotheses is zero. The function 1 sums
     to the point count and integrates to the area; x1 and x2 sum to the
     coordinate sums and integrate to the moment, so the residuals are one
-    count term and one vector term.
+    count term and one vector term. Since c_chop is the count over the
+    chopped polygon's area, c_chop * area(chopped) is the count exactly,
+    and the count residual is minus `sum_rule_constant_condition`.
     """
-    (count, sx, sy), c_base, c_chop = _sum_rule_scans(decomposition)
+    (_, sx, sy), c_base, c_chop = _sum_rule_scans(decomposition)
     d = decomposition
-    count_residual = count - (
-        c_chop * area(d.chopped) + _constant_condition(d, c_base, c_chop)
-    )
+    count_residual = -_constant_condition(d, c_base, c_chop)
     identity = AffineMap.identity()
     sum_residual = Vec2.of(sx, sy) - (
         moment_integral(d.chopped) * c_chop

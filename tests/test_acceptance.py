@@ -3,10 +3,12 @@ tolerance zero). One pass/fail line per criterion is printed in the
 terminal summary.
 
 Criterion 3 asserts the stated target values of the six-chop worked
-example; four of them are refuted by direct enumeration (two independent
+example; six of them are refuted by direct enumeration (two independent
 routes agree on the refutation), and those sub-checks are left failing to
 document the discrepancy. The enumeration-backed values for the same
-fixture are pinned green in the module tests and the replicate suite."""
+fixture are pinned green in the module tests and the replicate suite, and
+`test_criterion_03_stated_values_rebuilt` derives each stated value from
+library values."""
 
 from __future__ import annotations
 
@@ -29,9 +31,11 @@ from polychow import (
     ScalarPoly,
     SymmetryGroup,
     Vec2,
+    VecPoly,
     VerificationMismatch,
     apply_affine,
     area,
+    boundary_moment,
     chop_corners,
     chow_after_blowup,
     chow_eval,
@@ -42,6 +46,7 @@ from polychow import (
     fo_invariant,
     is_centrally_symmetric,
     is_weakly_symmetric,
+    lattice_moments,
     moment_integral,
     mukai_classify,
     scale,
@@ -136,6 +141,65 @@ def test_criterion_03_chop_chains(hexagon):
         assert verify_blowup_theorem(six, 3).all_equal
         if failures:
             pytest.fail("; ".join(failures))
+
+
+def test_criterion_03_stated_values_rebuilt(hexagon):
+    """Each stated value that criterion 3 refutes is rebuilt exactly from
+    library values of the six-chop fixture, each by one slip: the point sum
+    at dilation 2 left undivided by i, the sum-polynomial constant fed that
+    sum, and the Chow coefficients built with the constant's sign flipped
+    (c0) and with -s(2)/2 in place of DF1's vertex and moment terms (c1).
+    The stated c1 and c0 are not parallel, hence the stated span of 2."""
+    five = chop_corners(hexagon, [CornerCut.of((0, 2), HALF), CornerCut.of((2, 0), HALF)])
+    six = chop_corners(five.chopped, [CornerCut.of((1, 2), Fraction(1, 4))])
+    scaled_base = six.scaled_base()
+    assert chow_poly(scaled_base).is_zero()  # so the Chow weight is DF1 * i + DF2
+    (m,) = six.m
+    frame = six.frames[0].column_sum()
+    vertex = six.cuts[0].vertex * six.k
+    a_c, b_c, ones = six.a_const, six.b_const, vec(1, 1)
+    assert (m, frame, vertex, a_c, b_c) == (1, vec(0, -1), vec(4, 8), 19, 87)
+    s1, s2 = sum_points(scaled_base, 1), sum_points(scaled_base, 2)
+    moment = moment_integral(scaled_base)
+    assert (s1, s2, moment) == (vec(220, 220), vec(788, 788), vec(176, 176))
+    df1, df2 = df_invariants(six)
+
+    # stated s(2) = 2 * 788: the lattice-point sum of the 2-fold dilation,
+    # not divided by i = 2
+    stated_s2 = s2 * 2
+    assert stated_s2 == vec(*lattice_moments(scaled_base, 2)[1:]) == vec(1576, 1576)
+
+    # stated constant -784 = 2*220 - 1576 + 2*176: c0 = 2 s(1) - s(2) + 2 m,
+    # exact for a quadratic, fed the undivided s(2); the true s(2) gives 4
+    stated_const = s1 * 2 - stated_s2 + moment * 2
+    assert stated_const == vec(-784, -784)
+    assert s1 * 2 - s2 + moment * 2 == sum_poly(scaled_base).c0 == vec(4, 4)
+
+    # stated c0 = (F m B + 2 F m^3 + 6 kv m^2)/12 - 392 (1,1): DF2 subtracts
+    # the constant times sum(m^2)/2, and the stated value adds it instead
+    cut_terms = (frame * (m * b_c) + frame * (2 * m**3) + vertex * (6 * m * m)) * Fraction(1, 12)
+    half_m2 = Fraction(six.m_square_sum, 2)
+    assert df2 == cut_terms - sum_poly(scaled_base).c0 * half_m2
+    stated_c0 = cut_terms + stated_const * half_m2
+    assert stated_c0 == cut_terms - ones * 392 == vec(-390, Fraction(-4745, 12))
+
+    # stated c1 = A F m^3/12 - 394 (1,1), with 394 = 788/2 = 1576/4 where DF1
+    # has 3 (A kv m^2 - B kv m)/12 + m * sum(m)/2 - bm * sum(m^2)/4
+    frame_term = frame * Fraction(a_c * m**3, 12)
+    vertex_and_moment_terms = (
+        vertex * Fraction(3 * (a_c * m * m - b_c * m), 12)
+        + moment * Fraction(six.m_sum, 2)
+        - boundary_moment(scaled_base) * Fraction(six.m_square_sum, 4)
+    )
+    assert vertex_and_moment_terms == vec(-68, -136) + vec(68, 68)
+    assert df1 == frame_term + vertex_and_moment_terms
+    stated_c1 = frame_term - s2 * HALF
+    assert stated_c1 == frame_term - stated_s2 * Fraction(1, 4)
+    assert stated_c1 == frame_term - ones * 394 == vec(-394, Fraction(-4747, 12))
+
+    # stated span 2: the stated coefficients are not parallel; DF1 and DF2 are
+    assert coefficient_span_dim(VecPoly(ZERO, stated_c1, stated_c0)) == 2
+    assert coefficient_span_dim(VecPoly(ZERO, df1, df2)) == 1
 
 
 def test_criterion_04_quadrilateral_family():

@@ -261,6 +261,27 @@ class TestBlowupIdentity:
         assert excinfo.value.i == 1
         assert excinfo.value.lhs - excinfo.value.rhs == Vec2.of(1, 0)
 
+    def test_mismatch_message_names_polygon_and_k(self, hexagon, monkeypatch):
+        import polychow.blowup as blowup_module
+
+        d = hexagon_cut(hexagon)
+        exact = blowup_module.df_invariants
+
+        def shifted(decomposition):
+            df1, df2 = exact(decomposition)
+            return df1 + Vec2.of(1, 0), df2
+
+        monkeypatch.setattr(blowup_module, "df_invariants", shifted)
+        with pytest.raises(VerificationMismatch) as excinfo:
+            verify_blowup_theorem(d, 3)
+        error = excinfo.value
+        message = str(error)
+        assert "at i=1 " in message
+        assert d.scaled_chopped().vertex_text() in message
+        assert f"k={d.k}" in message
+        assert f"{error.lhs} != {error.rhs}" in message
+        assert error.report is not None and error.report.entries[-1] == (1, error.lhs, error.rhs)
+
     def test_area_mismatch_names_polygon_and_sides(self, hexagon, monkeypatch):
         import polychow.blowup as blowup_module
 

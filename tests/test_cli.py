@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -335,3 +336,26 @@ class TestBudget:
     def test_enumeration_cap_exit_one(self, capsys, triangle_file, monkeypatch):
         monkeypatch.setenv("POLYCHOW_MAX_ENUM", "3")
         assert main(["ehrhart", triangle_file]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fo", "{tri}", "--i", "100000000"],
+            ["chow", "{tri}", "--laws", "100000000"],
+            ["blowup", "{hex}", "--cuts", "{cuts}", "--verify", "--imax", "100000000"],
+        ],
+    )
+    def test_dilation_loops_charged_before_work(
+        self, capsys, triangle_file, hexagon_file, cut_file, monkeypatch, argv
+    ):
+        # each loop would run for hours; its rows over all dilations are
+        # charged to the default cap before the first one
+        monkeypatch.delenv("POLYCHOW_MAX_ENUM", raising=False)
+        files = {"tri": triangle_file, "hex": hexagon_file, "cuts": cut_file}
+        started = time.monotonic()
+        assert main([a.format(**files) for a in argv]) == 1
+        assert time.monotonic() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert f"{argv[-2]} 100000000 scans up to" in captured.err

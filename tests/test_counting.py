@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -85,6 +86,16 @@ class TestLatticePoints:
         assert lattice_moments(cp2_triangle, 1) == (10, 10, 10)
         with pytest.raises(EnumerationLimitExceeded, match="4 rows plus 10 points"):
             lattice_points(cp2_triangle, 1)
+
+    def test_listing_refused_before_any_row(self, monkeypatch):
+        # 3 points on 3 * 10^6 rows: the floor sums count the points, so the
+        # listing is refused without scanning the rows first
+        monkeypatch.setenv("POLYCHOW_MAX_ENUM", "3000000")
+        sliver = Polygon.from_coords([(0, 0), (1, 2999999), (0, 1)])
+        started = time.monotonic()
+        with pytest.raises(EnumerationLimitExceeded, match="scans 3000000 rows plus 3 points"):
+            lattice_points(sliver, 1)
+        assert time.monotonic() - started < 0.1
 
 
 class TestLatticeMoments:

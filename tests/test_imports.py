@@ -1,7 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level private function is used somewhere in the library.
 
-`__init__.py` is left out: its imports are the package's public names.
-Names in quoted annotations count as uses.
+`__init__.py` is left out of the import check: its imports are the
+package's public names. Names in quoted annotations count as uses.
 """
 
 from __future__ import annotations
@@ -49,3 +50,36 @@ def test_modules_found():
 def test_no_unused_imports(module):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     assert sorted(_imported_names(tree) - _used_names(tree)) == []
+
+
+def _private_functions_and_uses() -> tuple[set[str], set[str]]:
+    """Module-level `def _name`s of the package, and the names it uses
+    outside the body of the function of the same name, so that a helper
+    that only calls itself counts as unused."""
+    defined: set[str] = set()
+    used: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(), filename=path.name).body:
+            owner = None
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                if not node.name.startswith("__"):
+                    defined.add(node.name)
+                owner = node.name
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name):
+                    name = inner.id
+                elif isinstance(inner, ast.Attribute):
+                    name = inner.attr
+                elif isinstance(inner, ast.alias):
+                    name = inner.name
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    return defined, used
+
+
+def test_no_dead_private_functions():
+    defined, used = _private_functions_and_uses()
+    assert "_charge_rows" in defined
+    assert sorted(defined - used) == []

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 import brute
 from conftest import quadrilateral
+from corpus import delzant_corpus
 from polychow import (
     CornerCut,
     DuplicatePoint,
@@ -15,6 +17,7 @@ from polychow import (
     HypothesisNotMet,
     IntMat2,
     PointConfiguration,
+    PolychowError,
     Polygon,
     SymmetryGroup,
     Vec2,
@@ -24,6 +27,7 @@ from polychow import (
     is_centrally_symmetric,
     is_weakly_symmetric,
     mukai_classify,
+    scale,
     sum_rule_constant_condition,
     sum_rule_residuals,
     translate,
@@ -151,6 +155,30 @@ class TestSumRule:
         d = chop_corners(base, [CornerCut.of((0, 0), 1)])
         with pytest.raises(HypothesisNotMet):
             sum_rule_residuals(d)
+
+    def test_count_residual_is_minus_constant_condition(self):
+        # c_chop * area(chopped) is the chopped count, so the count residual
+        # is exactly the constant condition with its sign flipped
+        tested = nonzero = 0
+        for base in delzant_corpus(size=20):
+            for factor in (1, 2, 3):
+                scaled = scale(base, factor)
+                if fo_invariant(scaled, 1) != ZERO:
+                    continue
+                for r in (1, 2):
+                    for corners in combinations(scaled.vertices, r):
+                        for depths in product((1, 2), repeat=r):
+                            try:
+                                d = chop_corners(
+                                    scaled, [CornerCut(v, t) for v, t in zip(corners, depths)]
+                                )
+                            except PolychowError:
+                                continue
+                            condition = sum_rule_constant_condition(d)
+                            assert sum_rule_residuals(d)["1"] == -condition
+                            tested += 1
+                            nonzero += condition != 0
+        assert tested >= 200 and nonzero >= 50
 
     def test_deep_cut_reports_nonzero_residual(self, cp2_triangle):
         # a depth-2 cut removes a non-unimodular corner simplex; the rule's
