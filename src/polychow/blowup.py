@@ -16,13 +16,20 @@ This module builds and validates decompositions, evaluates the invariants,
 and verifies the identity against direct enumeration on the chopped
 polygon. The verification is the module's reason to exist: the closed-form
 route and the enumeration route are kept fully independent.
+
+Every sum in the identity is an integer: the seam points at one common
+scale, k*v, the depths m, the frame column sums, A and B, and the scaled
+polygons' integer forms (twice the area, 6 * the moment, 2 * the boundary
+moment, 12 * the point-sum constant) and enumerated moments. So the
+decomposition, the invariants and both verifications work in ints and
+build one Fraction per output coordinate, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     CutThroughEdge,
@@ -38,26 +45,19 @@ from .geometry import (
     Polygon,
     Vec2,
     ZERO_VEC,
+    _from_integers,
+    _hull,
     area,
     boundary_moment,
-    canonicalize,
     corner_frame,
     denominator_lcm,
     is_delzant,
     is_lattice,
-    lattice_length,
-    moment_integral,
     scale,
     to_fraction,
 )
-from .chow import chow_eval, chow_poly, integral_of_affine
-from .counting import (
-    VecPoly,
-    _f_sum_and_count,
-    segment_count,
-    segment_f_sum,
-    sum_poly,
-)
+from .chow import chow_poly
+from .counting import VecPoly, _counting_and_sum_polys, lattice_moments
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,10 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
     the scaled base to be a lattice polygon. The chopped polygon's Delzant
     status at scale k is reported as a flag, not an error: the invariants
     still evaluate, and callers can decide how much to trust them.
+
+    The seam points, the cut simplices, the hull walk of the chopped
+    polygon and the scaled polygons are computed on integer vertices at
+    one common scale; each vertex becomes a Fraction once.
     """
     cuts = tuple(cuts)
     indices: list[int] = []
@@ -157,26 +161,31 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
 
     frames = tuple(corner_frame(base, idx) for idx in indices)
 
-    # seam endpoints must stay strictly inside the adjacent edges
-    n = len(base.vertices)
-    for idx, cut in zip(indices, cuts):
-        v = base.vertex(idx)
-        for neighbour in (base.vertex(idx + 1), base.vertex(idx - 1)):
-            if cut.depth >= lattice_length(v, neighbour):
-                raise CutThroughEdge(
-                    f"cut of depth {cut.depth} at {v} reaches the edge towards {neighbour}"
-                )
-
-    seam_points: dict[int, tuple[Vec2, Vec2]] = {}
+    # the base's vertices and the seam points as integer pairs at one
+    # common scale, the lcm of the base's scale and the depths' denominators
+    form = base.integer
+    common = lcm(form.scale, *(cut.depth.denominator for cut in cuts))
+    up = common // form.scale
+    verts = [(x * up, y * up) for x, y in form.vertices]
+    n = len(verts)
+    seam_points: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
     for idx, cut, frame in zip(indices, cuts, frames):
-        v = base.vertex(idx)
-        col_next, col_prev = frame.columns()
-        q = v + Vec2(Fraction(col_next[0]), Fraction(col_next[1])) * cut.depth
-        r = v + Vec2(Fraction(col_prev[0]), Fraction(col_prev[1])) * cut.depth
-        seam_points[idx] = (q, r)
+        vx, vy = verts[idx]
+        depth = cut.depth.numerator * (common // cut.depth.denominator)
+        # seam endpoints must stay strictly inside the adjacent edges: the
+        # depth is under the lattice length of each
+        for neighbour in (idx + 1, idx - 1):
+            wx, wy = verts[neighbour % n]
+            if depth >= gcd(wx - vx, wy - vy):
+                raise CutThroughEdge(
+                    f"cut of depth {cut.depth} at {base.vertex(idx)} reaches the edge "
+                    f"towards {base.vertex(neighbour)}"
+                )
+        (nx, ny), (px, py) = frame.columns()
+        seam_points[idx] = ((vx + nx * depth, vy + ny * depth), (vx + px * depth, vy + py * depth))
 
     simplices = tuple(
-        canonicalize([base.vertex(idx), *seam_points[idx]]) for idx in indices
+        _from_integers(common, _hull([verts[idx], *seam_points[idx]])) for idx in indices
     )
     for a in range(len(simplices)):
         for b in range(a + 1, len(simplices)):
@@ -185,24 +194,24 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
                     f"cuts at {cuts[a].vertex} and {cuts[b].vertex} intersect"
                 )
 
-    walk: list[Vec2] = []
+    walk: list[tuple[int, int]] = []
     for idx in range(n):
         if idx in seam_points:
             q, r = seam_points[idx]
             walk.extend([r, q])  # arrive along the previous edge, leave along the next
         else:
-            walk.append(base.vertex(idx))
-    chopped = canonicalize(walk)
+            walk.append(verts[idx])
+    chopped = _from_integers(common, _hull(walk))
 
     k = denominator_lcm(chopped)
     m: list[int] = []
     for cut in cuts:
-        scaled_depth = cut.depth * k
-        if scaled_depth.denominator != 1:
+        scaled_depth, remainder = divmod(cut.depth.numerator * k, cut.depth.denominator)
+        if remainder:
             raise InvalidCutDepth(
                 f"depth {cut.depth} does not scale to an integer at lattice multiple {k}"
             )
-        m.append(int(scaled_depth))
+        m.append(scaled_depth)
 
     scaled_base = scale(base, k)
     scaled_chopped = scale(chopped, k)
@@ -230,7 +239,10 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
         cuts=cuts,
         chopped=chopped,
         simplices=simplices,
-        seams=tuple(seam_points[idx] for idx in indices),
+        seams=tuple(
+            tuple(Vec2(Fraction(x, common), Fraction(y, common)) for x, y in seam_points[idx])
+            for idx in indices
+        ),
         frames=frames,
         k=k,
         m=tuple(m),
@@ -268,6 +280,11 @@ def simplex_closed_forms(m: int, i: int) -> SimplexForms:
     )
 
 
+def _times(v: Vec2, k: int) -> tuple[int, int]:
+    """k * v as an integer pair, for a k that makes it one."""
+    return v.x.numerator * (k // v.x.denominator), v.y.numerator * (k // v.y.denominator)
+
+
 def df_invariants(decomposition: Decomposition) -> tuple[Vec2, Vec2]:
     """The two correction invariants of the blow-up identity.
 
@@ -279,43 +296,55 @@ def df_invariants(decomposition: Decomposition) -> tuple[Vec2, Vec2]:
               + moment * sum(m) / 2 - boundary moment * sum(m^2) / 4
         DF2 = (B*sum(F m) + 2*sum(F m^3) + 6*sum(k v m^2)) / 12
               - (constant of the point-sum polynomial) * sum(m^2) / 2
+
+    The scaled base is a lattice polygon, so in the ints of its integer
+    form (moment M/6, boundary moment BM/2, point-sum constant C/12, see
+    `_counting_and_sum_polys`) and of the cuts, per coordinate,
+
+        24*DF1 = 2A*sum(F m^3) + 6A*sum(k v m^2) - 6B*sum(k v m)
+                 + 2M*sum(m) - 3*BM*sum(m^2)
+        24*DF2 = 2B*sum(F m) + 4*sum(F m^3) + 12*sum(k v m^2) - C*sum(m^2)
+
+    DF2 builds one Fraction per coordinate, at the end. DF1's boundary
+    term is read through `boundary_moment`, not the integer form, so that
+    a wrong boundary measure shows up in DF1; it is the one Fraction in
+    the sum.
     """
     d = decomposition
     a_c, b_c, k = d.a_const, d.b_const, d.k
     scaled = d.scaled_base()
-
-    # integer sums over the cuts; k * v is integral because the scaled base
-    # is a lattice polygon
-    frame_m3 = frame_m1 = vert_m2 = vert_m1 = Vec2(0, 0)
-    for cut, frame, m in zip(d.cuts, d.frames, d.m):
-        col = frame.column_sum()
-        vertex = Vec2(int(cut.vertex.x * k), int(cut.vertex.y * k))
-        frame_m3 = frame_m3 + col * m**3
-        frame_m1 = frame_m1 + col * m
-        vert_m2 = vert_m2 + vertex * (m * m)
-        vert_m1 = vert_m1 + vertex * m
-
-    moment = moment_integral(scaled)
+    # k * v is integral because the scaled base is a lattice polygon
+    cut_data = [
+        (frame.column_sum().as_tuple(), _times(cut.vertex, k), m)
+        for cut, frame, m in zip(d.cuts, d.frames, d.m)
+    ]
     boundary = boundary_moment(scaled)
-    sum_const = sum_poly(scaled).c0
-
-    df1 = (
-        (frame_m3 * a_c + (vert_m2 * a_c - vert_m1 * b_c) * 3) * Fraction(1, 12)
-        + moment * Fraction(d.m_sum, 2)
-        - boundary * Fraction(d.m_square_sum, 4)
-    )
-    df2 = (
-        (frame_m1 * b_c + frame_m3 * 2 + vert_m2 * 6) * Fraction(1, 12)
-        - sum_const * Fraction(d.m_square_sum, 2)
-    )
-    return df1, df2
+    constant = _counting_and_sum_polys(scaled)
+    df1, df2 = [], []
+    for j, half_bm in enumerate((boundary.x, boundary.y)):
+        frame_m3 = frame_m1 = vert_m2 = vert_m1 = 0
+        for column_sum, vertex, m in cut_data:
+            frame_m3 += column_sum[j] * m**3
+            frame_m1 += column_sum[j] * m
+            vert_m2 += vertex[j] * m * m
+            vert_m1 += vertex[j] * m
+        df1_24 = (
+            2 * a_c * frame_m3 + 6 * a_c * vert_m2 - 6 * b_c * vert_m1
+            + 2 * scaled.integer.moment[j] * d.m_sum
+        )
+        # half_bm is the Fraction BM/2: 6 * half_bm is 3*BM, and `/` stays exact
+        df1.append((df1_24 - 6 * d.m_square_sum * half_bm) / 24)
+        df2.append(Fraction(
+            2 * b_c * frame_m1 + 4 * frame_m3 + 12 * vert_m2 - constant[j] * d.m_square_sum, 24
+        ))
+    return Vec2(*df1), Vec2(*df2)
 
 
 def chow_after_blowup(decomposition: Decomposition) -> VecPoly:
     """Chow weight of the scaled chopped polygon via the blow-up identity."""
     df1, df2 = df_invariants(decomposition)
     base_poly = chow_poly(decomposition.scaled_base())
-    return base_poly + VecPoly(ZERO_VEC, df1, df2)
+    return VecPoly(ZERO_VEC, base_poly.c1 + df1, base_poly.c0 + df2)
 
 
 @dataclass(frozen=True)
@@ -334,23 +363,37 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
 
     The right side is the Chow weight of the scaled chopped polygon
     computed from its own lattice points; nothing is shared with the
-    closed-form route. Raises VerificationMismatch on the first unequal
-    dilation, carrying the full report assembled so far.
+    closed-form route. The polygon is a lattice polygon, so with Vol =
+    a2/2 and moment M/6 of its integer form and (count, sum of x, sum of
+    y) of the i-th dilation, the weight is (3*a2*sums - i*count*M) / (6i).
+    Raises VerificationMismatch on the first unequal dilation, carrying the
+    full report assembled so far; its message names the scaled chopped
+    polygon, k, the base and the cuts.
     """
     if i_max < 1:
         raise ValueError("i_max must be a positive integer")
-    identity_side = chow_after_blowup(decomposition)
-    target = decomposition.scaled_chopped()
-    f = AffineMap.identity()
+    d = decomposition
+    identity_side = chow_after_blowup(d)
+    target = d.scaled_chopped()
+    vol6 = 3 * target.integer.twice_area
+    mx, my = target.integer.moment
     entries: list[tuple[int, Vec2, Vec2]] = []
     for i in range(1, i_max + 1):
         lhs = identity_side(i)
-        rhs = chow_eval(target, f, i)
+        count, sx, sy = lattice_moments(target, i)
+        rhs = Vec2(
+            Fraction(vol6 * sx - i * count * mx, 6 * i),
+            Fraction(vol6 * sy - i * count * my, 6 * i),
+        )
         entries.append((i, lhs, rhs))
         if lhs != rhs:
+            cut_text = ", ".join(
+                f"({cut.vertex.x}, {cut.vertex.y}) at depth {cut.depth}" for cut in d.cuts
+            )
             where = (
                 f" on the scaled chopped polygon {target.vertex_text()} "
-                f"at lattice multiple k={decomposition.k}"
+                f"at lattice multiple k={d.k}, from base {d.base.vertex_text()} "
+                f"cut at [{cut_text}]"
             )
             raise VerificationMismatch(i, lhs, rhs, BlowupVerification(tuple(entries)), where)
     return BlowupVerification(tuple(entries))
@@ -360,38 +403,60 @@ def verify_general_identity(decomposition: Decomposition, f: AffineMap, i: int) 
     """Residual of the dimension-free decomposition identity for the Chow
     weight, with every term enumerated or integrated directly.
 
+    With P_X and E_X the sum of f and the count over the sample points of
+    the i-th subdivision of the scaled base b, the scaled cut simplices p
+    and their seams, Vol_X the areas and I_X the integrals of f, the
+    identity reads
+
+        chow(k*chopped; i) = P_b*Vol_b - I_b*E_b - P_b*Vol_p
+                             - (P_p - P_seams)*(Vol_b - Vol_p) + I_p*E_b
+                             + (I_b - I_p)*(E_p - E_seams)
+
     Returns rhs - chow(k*chopped; i); a correct decomposition gives zero.
+
+    The offset t of f enters P_X as t*E_X and I_X as t*Vol_X, so its
+    coefficient is E_b*Vol_b - Vol_b*E_b - E_b*Vol_p - (E_p - E_seams)*
+    (Vol_b - Vol_p) + Vol_p*E_b + (Vol_b - Vol_p)*(E_p - E_seams) = 0 for
+    any enumerated values: only the linear part of f is left. With the
+    rest r = b minus the simplices plus the seams (Vol_r = Vol_b - Vol_p,
+    moment M_r/6 = (M_b - M_p)/6, count E_b - E_p + E_seams, raw sums
+    S_b - S_p + S_seams over the dilation), the residual is f_linear(V/(12i))
+    for the integer vector
+
+        V = 6*a2_r*S_r - 2i*E_r*M_r - (6*a2_c*S_c - 2i*E_c*M_c)
+
+    where c is the scaled chopped polygon and a2 twice an area: 12i times
+    the Chow weight of r minus that of c. One kernel call per polygon
+    gives each count and raw sum; a seam from q to r has i*gcd(r - q) + 1
+    points, which sum to i*count*(q + r)/2 over the dilation.
     """
     d = decomposition
     k = d.k
     scaled_base = d.scaled_base()
-    scaled_parts = [scale(s, k) for s in d.simplices]
-    scaled_seams = [(q * k, r * k) for q, r in d.seams]
-
-    vol_parts = sum((area(s) for s in scaled_parts), Fraction(0))
-    vol_rest = area(scaled_base) - vol_parts
-
-    p_base, e_base = _f_sum_and_count(scaled_base, f, i)
-    p_parts_minus_seams = ZERO_VEC
-    count_parts_minus_seams = 0
-    for part, (q, r) in zip(scaled_parts, scaled_seams):
-        p_part, e_part = _f_sum_and_count(part, f, i)
-        p_parts_minus_seams = p_parts_minus_seams + p_part - segment_f_sum(q, r, f, i)
-        count_parts_minus_seams += e_part - segment_count(q, r, i)
-
-    int_base = integral_of_affine(scaled_base, f)
-    int_parts = ZERO_VEC
-    for part in scaled_parts:
-        int_parts = int_parts + integral_of_affine(part, f)
-
-    chow_base = p_base * area(scaled_base) - int_base * e_base
-
-    rhs = (
-        chow_base
-        - p_base * vol_parts
-        - p_parts_minus_seams * vol_rest
-        + int_parts * e_base
-        + (int_base - int_parts) * count_parts_minus_seams
-    )
-    lhs = chow_eval(d.scaled_chopped(), f, i)
-    return rhs - lhs
+    count, sx, sy = lattice_moments(scaled_base, i)
+    a2 = scaled_base.integer.twice_area
+    mx, my = scaled_base.integer.moment
+    # twice the raw seam sums over the dilation, kept apart to stay integral
+    seam_x2 = seam_y2 = 0
+    for simplex, (q, r) in zip(d.simplices, d.seams):
+        part = scale(simplex, k)
+        part_count, part_x, part_y = lattice_moments(part, i)
+        (qx, qy), (rx, ry) = _times(q, k), _times(r, k)
+        seam_count = i * gcd(rx - qx, ry - qy) + 1
+        count -= part_count - seam_count
+        sx -= part_x
+        sy -= part_y
+        seam_x2 += i * seam_count * (qx + rx)
+        seam_y2 += i * seam_count * (qy + ry)
+        a2 -= part.integer.twice_area
+        mx -= part.integer.moment[0]
+        my -= part.integer.moment[1]
+    target = d.scaled_chopped()
+    c_count, c_x, c_y = lattice_moments(target, i)
+    c_a2 = target.integer.twice_area
+    c_mx, c_my = target.integer.moment
+    vx = 6 * a2 * sx + 3 * a2 * seam_x2 - 2 * i * count * mx
+    vy = 6 * a2 * sy + 3 * a2 * seam_y2 - 2 * i * count * my
+    vx -= 6 * c_a2 * c_x - 2 * i * c_count * c_mx
+    vy -= 6 * c_a2 * c_y - 2 * i * c_count * c_my
+    return f.linear_apply(Vec2(Fraction(vx, 12 * i), Fraction(vy, 12 * i)))

@@ -23,17 +23,10 @@ from .geometry import (
     Vec2,
     ZERO_VEC,
     apply_affine,
-    area,
-    moment_integral,
     scale,
     translate,
 )
 from .counting import VecPoly, _counting_and_sum_polys, lattice_moments
-
-
-def integral_of_affine(polygon: Polygon, f: AffineMap) -> Vec2:
-    """Integral of f over the polygon; exact because f is affine."""
-    return f.linear_apply(moment_integral(polygon)) + f.offset * area(polygon)
 
 
 def chow_eval(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
@@ -58,15 +51,25 @@ def chow_eval(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
 def chow_poly(polygon: Polygon) -> VecPoly:
     """Chow weight of the coordinate function as a polynomial in i.
 
-    Vol * s(i) - E(i) * moment has no i^2 term: s's quadratic coefficient
-    is the moment and E's is Vol, both read from the same integer form as
-    `area` and `moment_integral`, so it is Vol * moment - moment * Vol.
-    `_counting_and_sum_polys` checks both against enumeration.
+    With Vol = a2/2, moment M/6, E = (a2/2)*i^2 + (b/2)*i + 1 and
+    s = (M/6)*i^2 + (BM/4)*i + C/12 in the ints of the lattice polygon's
+    integer form, Vol * s(i) - E(i) * moment has no i^2 term
+    (Vol * moment - moment * Vol) and is
+
+        ((3*BM*a2 - 2*M*b) * i + (C*a2 - 4*M)) / 24
+
+    per coordinate. `_counting_and_sum_polys` gives C after checking E and
+    s against enumeration; one Fraction is built per coefficient.
     """
-    vol = area(polygon)
-    m = moment_integral(polygon)
-    e, s = _counting_and_sum_polys(polygon)
-    return VecPoly(ZERO_VEC, s.c1 * vol - m * e.c1, s.c0 * vol - m * e.c0)
+    cx, cy = _counting_and_sum_polys(polygon)
+    form = polygon.integer
+    a2, b = form.twice_area, form.boundary_length
+    (mx, my), (bx, by) = form.moment, form.boundary_moment
+    return VecPoly(
+        ZERO_VEC,
+        Vec2(Fraction(3 * bx * a2 - 2 * mx * b, 24), Fraction(3 * by * a2 - 2 * my * b, 24)),
+        Vec2(Fraction(cx * a2 - 4 * mx, 24), Fraction(cy * a2 - 4 * my, 24)),
+    )
 
 
 def coefficient_span_dim(poly: VecPoly) -> int:

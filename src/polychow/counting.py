@@ -232,17 +232,20 @@ def sum_points(polygon: Polygon, i: int) -> Vec2:
     return Vec2(Fraction(sx, i), Fraction(sy, i))
 
 
-def _counting_and_sum_polys(polygon: Polygon) -> tuple[ScalarPoly, VecPoly]:
-    """Counting polynomial E and point-sum polynomial s of a lattice polygon.
+def _counting_and_sum_polys(polygon: Polygon) -> tuple[int, int]:
+    """12 times the constant of the point-sum polynomial of a lattice
+    polygon, as the int pair (cx, cy), after checking the counting and
+    point-sum polynomials against enumeration.
 
-    Pick's theorem gives E(i) = area * i^2 + (b/2) * i + 1. Euler-Maclaurin
-    with the lattice-normalized boundary measure gives
-    s(i) = m * i^2 + (bm/2) * i + c0 from the moment integral m and the
-    boundary moment bm; c0 = s(1) - m - bm/2 takes the scan at i = 1. The
-    scans at i = 1, 2, 3 check E at all three and s at 2 and 3, in the
-    integers of the polygon's integer form (a2, b, M, BM): twice the count
-    is a2*i^2 + b*i + 2, and 12 times the coordinate sums over the i-th
-    dilation is 2*M*i^3 + 3*BM*i^2 + C*i with C = 12*s(1) - 2*M - 3*BM.
+    Every coefficient is an int of the polygon's integer form
+    (a2, b, M, BM), with scale 1 on a lattice polygon. Pick's theorem
+    gives twice the count of the i-th dilation as a2*i^2 + b*i + 2.
+    Euler-Maclaurin with the lattice-normalized boundary measure gives 12
+    times its coordinate sums as 2*M*i^3 + 3*BM*i^2 + C*i, so
+    s(i) = (M/6)*i^2 + (BM/4)*i + C/12 with C = 12*s(1) - 2*M - 3*BM from
+    the scan at i = 1. The scans at i = 1, 2, 3 check E at all three and s
+    at 2 and 3, in those ints; a mismatch raises InternalInconsistency.
+    Every caller builds its Fractions from these ints once.
     """
     if not is_lattice(polygon):
         raise NotLatticePolygon("counting and sum polynomials need integral vertices")
@@ -263,21 +266,27 @@ def _counting_and_sum_polys(polygon: Polygon) -> tuple[ScalarPoly, VecPoly]:
                 f"s = ({Fraction(x12, 12 * i)}, {Fraction(y12, 12 * i)}); enumerated "
                 f"E = {count}, s = ({Fraction(sx, i)}, {Fraction(sy, i)})"
             )
-    return ScalarPoly(Fraction(a2, 2), Fraction(b, 2), Fraction(1)), VecPoly(
+    return cx, cy
+
+
+def ehrhart_poly(polygon: Polygon) -> ScalarPoly:
+    """Counting polynomial of a lattice polygon, by Pick's theorem:
+    (a2/2)*i^2 + (b/2)*i + 1, checked by `_counting_and_sum_polys`."""
+    _counting_and_sum_polys(polygon)
+    form = polygon.integer
+    return ScalarPoly(Fraction(form.twice_area, 2), Fraction(form.boundary_length, 2), Fraction(1))
+
+
+def sum_poly(polygon: Polygon) -> VecPoly:
+    """Point-sum polynomial of a lattice polygon, by Euler-Maclaurin:
+    (M/6)*i^2 + (BM/4)*i + C/12, checked by `_counting_and_sum_polys`."""
+    cx, cy = _counting_and_sum_polys(polygon)
+    (mx, my), (bx, by) = polygon.integer.moment, polygon.integer.boundary_moment
+    return VecPoly(
         Vec2(Fraction(mx, 6), Fraction(my, 6)),
         Vec2(Fraction(bx, 4), Fraction(by, 4)),
         Vec2(Fraction(cx, 12), Fraction(cy, 12)),
     )
-
-
-def ehrhart_poly(polygon: Polygon) -> ScalarPoly:
-    """Counting polynomial of a lattice polygon, by Pick's theorem."""
-    return _counting_and_sum_polys(polygon)[0]
-
-
-def sum_poly(polygon: Polygon) -> VecPoly:
-    """Point-sum polynomial of a lattice polygon, by Euler-Maclaurin."""
-    return _counting_and_sum_polys(polygon)[1]
 
 
 def _f_sum_and_count(polygon: Polygon, f: AffineMap, i: int) -> tuple[Vec2, int]:

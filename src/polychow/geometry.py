@@ -195,14 +195,14 @@ def _scaled_to_integers(points: Sequence[Vec2]) -> tuple[int, tuple[tuple[int, i
     )
 
 
-def _integer_form(vertices: Sequence[Vec2]) -> IntegerForm:
-    """The integer form of a canonical vertex cycle, after the checks that
-    make it one: at least three vertices, strictly convex and
+def _integer_form(scale: int, pts: tuple[tuple[int, int], ...]) -> IntegerForm:
+    """The integer form of a canonical vertex cycle pts / scale, with scale
+    the least that makes every vertex an integer pair, after the checks
+    that make it one: at least three vertices, strictly convex and
     counter-clockwise, starting at the smallest vertex."""
-    n = len(vertices)
+    n = len(pts)
     if n < 3:
         raise DegeneratePolytope("a polygon needs at least three vertices")
-    scale, pts = _scaled_to_integers(vertices)
     twice_area = mx = my = length = bx = by = 0
     for j in range(n):
         px, py = pts[j - 1]
@@ -241,7 +241,7 @@ class Polygon:
     integer: IntegerForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "integer", _integer_form(self.vertices))
+        object.__setattr__(self, "integer", _integer_form(*_scaled_to_integers(self.vertices)))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -269,6 +269,49 @@ class Polygon:
         return canonicalize([Vec2.of(c[0], c[1]) for c in coords])
 
 
+def _polygon(vertices: Sequence[Vec2], scale: int, pts: Sequence[tuple[int, int]]) -> Polygon:
+    """The polygon with the canonical vertex cycle `vertices`, which are
+    the integer pairs pts divided by scale. Its integer form is read off
+    the pairs brought to the least scale, with the constructor's checks."""
+    common = gcd(scale, *(c for p in pts for c in p))
+    polygon = object.__new__(Polygon)
+    object.__setattr__(polygon, "vertices", tuple(vertices))
+    object.__setattr__(polygon, "integer", _integer_form(
+        scale // common, tuple((x // common, y // common) for x, y in pts)
+    ))
+    return polygon
+
+
+def _from_integers(scale: int, pts: Sequence[tuple[int, int]]) -> Polygon:
+    """The polygon with the canonical vertex cycle pts / scale, built from
+    the integer pairs with one Fraction per coordinate."""
+    return _polygon([Vec2(Fraction(x, scale), Fraction(y, scale)) for x, y in pts], scale, pts)
+
+
+def _hull(pts: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Convex hull of distinct integer pairs as a canonical vertex cycle:
+    counter-clockwise from the smallest pair, without collinear triples.
+    Raises DegeneratePolytope when the hull has no area."""
+
+    def build(chain_pts):
+        chain: list[tuple[int, int]] = []
+        for px, py in chain_pts:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
+                    break
+                chain.pop()
+            chain.append((px, py))
+        return chain
+
+    ordered = sorted(pts)
+    hull = build(ordered)[:-1] + build(reversed(ordered))[:-1]
+    if len(hull) < 3:
+        raise DegeneratePolytope("points are collinear")
+    # monotone chain starts at the lexicographically smallest point and runs CCW
+    return hull
+
+
 def canonicalize(points: Iterable[Vec2]) -> Polygon:
     """Convex hull in canonical form.
 
@@ -279,30 +322,12 @@ def canonicalize(points: Iterable[Vec2]) -> Polygon:
     unique = list(set(points))
     if len(unique) < 3:
         raise DegeneratePolytope("need at least three distinct points")
-    # the hull is taken on the points scaled to integers, each paired with
-    # its original vector; distinct points have distinct integer pairs
-    pts = sorted(zip(_scaled_to_integers(unique)[1], unique))
-
-    def build(chain_pts):
-        chain: list[tuple[tuple[int, int], Vec2]] = []
-        for p in chain_pts:
-            (px, py), _ = p
-            while len(chain) >= 2:
-                (ax, ay), _ = chain[-2]
-                (bx, by), _ = chain[-1]
-                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
-                    break
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise DegeneratePolytope("points are collinear")
-    # monotone chain starts at the lexicographically smallest point and runs CCW
-    return Polygon(tuple(v for _, v in hull))
+    # the hull is taken on the points scaled to integers; distinct points
+    # have distinct integer pairs
+    scale, pts = _scaled_to_integers(unique)
+    hull = _hull(pts)
+    vertex_of = dict(zip(pts, unique))
+    return _polygon([vertex_of[p] for p in hull], scale, hull)
 
 
 def area(polygon: Polygon) -> Fraction:
@@ -419,7 +444,8 @@ def scale(polygon: Polygon, k: int) -> Polygon:
         raise ValueError("scale factor must be a positive integer")
     if k == 1:
         return polygon
-    return Polygon(tuple(v * k for v in polygon.vertices))
+    form = polygon.integer
+    return _from_integers(form.scale, [(x * k, y * k) for x, y in form.vertices])
 
 
 def translate(polygon: Polygon, offset: Vec2) -> Polygon:

@@ -25,6 +25,7 @@ from polychow import (
     chow_poly,
     df_invariants,
     ehrhart_eval,
+    fo_invariant,
     is_delzant,
     scale,
     simplex_closed_forms,
@@ -282,6 +283,28 @@ class TestBlowupIdentity:
         assert f"{error.lhs} != {error.rhs}" in message
         assert error.report is not None and error.report.entries[-1] == (1, error.lhs, error.rhs)
 
+    def test_mismatch_message_names_base_and_cuts(self, hexagon, monkeypatch):
+        import polychow.blowup as blowup_module
+
+        cuts = [CornerCut.of((0, 2), HALF), CornerCut.of((2, 0), Fraction(1, 4))]
+        d = chop_corners(hexagon, cuts)
+        exact = blowup_module.df_invariants
+
+        def shifted(decomposition):
+            df1, df2 = exact(decomposition)
+            return df1, df2 + Vec2.of(0, Fraction(1, 3))
+
+        monkeypatch.setattr(blowup_module, "df_invariants", shifted)
+        with pytest.raises(VerificationMismatch) as excinfo:
+            verify_blowup_theorem(d, 3)
+        error = excinfo.value
+        message = str(error)
+        assert f"from base {hexagon.vertex_text()} " in message
+        assert "cut at [(0, 2) at depth 1/2, (2, 0) at depth 1/4]" in message
+        assert d.scaled_chopped().vertex_text() in message and f"k={d.k}" in message
+        assert (error.i, error.lhs - error.rhs) == (1, Vec2.of(0, Fraction(1, 3)))
+        assert error.report.entries == ((1, error.lhs, error.rhs),)
+
     def test_area_mismatch_names_polygon_and_sides(self, hexagon, monkeypatch):
         import polychow.blowup as blowup_module
 
@@ -297,6 +320,20 @@ class TestCorpusIdentity:
     def test_blowup_identity_on_corpus(self):
         for d in decomposition_corpus(max_count=8):
             assert verify_blowup_theorem(d, 3).all_equal
+
+
+    def test_futaki_ono_relation_on_corpus(self):
+        # a third route to the identity side: the Chow weight of the scaled
+        # chopped polygon is Vol * E(i) times its Futaki-Ono invariant, with
+        # Vol = B/2 and E(i) = (B/2) i^2 + (A/2) i + 1 by Pick's theorem
+        for d in decomposition_corpus(max_count=12):
+            poly = chow_after_blowup(d)
+            a_c, b_c = d.a_const, d.b_const
+            for i in (1, 2, 3, 4):
+                scale_back = Fraction(4, b_c * (b_c * i * i + a_c * i + 2))
+                fo = fo_invariant(d.scaled_chopped(), i)
+                assert type(fo.x) is Fraction and type(fo.y) is Fraction
+                assert fo == poly(i) * scale_back
 
 
 class TestQuadrilateralCutData:
@@ -362,6 +399,36 @@ class TestGeneralIdentity:
         assert verify_general_identity(hexagon_cut(hexagon), ID, 2) == ZERO
         assert len(scans) == 3
         assert len(set(scans)) == 3
+
+
+    @pytest.mark.parametrize("call", [0, 1, 2], ids=["base", "simplex", "chopped"])
+    def test_shifted_count_leaves_residual(self, hexagon, monkeypatch, call):
+        # the offset part of f cancels whatever the enumerated values are,
+        # so it is not evaluated; one point too many in any polygon's count
+        # must still show in the residual, for the identity and for a
+        # random affine f
+        import polychow.blowup as blowup_module
+
+        d = hexagon_cut(hexagon)
+        rng = random.Random(5)
+        maps = [ID] + [f for f in (random_affine(rng) for _ in range(10)) if f.is_invertible()][:1]
+        assert len(maps) == 2 and maps[1].offset != ZERO
+        exact = blowup_module.lattice_moments
+        for f in maps:
+            seen = []
+
+            def shifted(polygon, i):
+                count, sx, sy = exact(polygon, i)
+                seen.append(polygon)
+                return (count + 1, sx, sy) if len(seen) == call + 1 else (count, sx, sy)
+
+            monkeypatch.setattr(blowup_module, "lattice_moments", shifted)
+            residual = verify_general_identity(d, f, 2)
+            assert len(seen) == 3
+            assert residual != ZERO
+            assert type(residual.x) is Fraction and type(residual.y) is Fraction
+            monkeypatch.setattr(blowup_module, "lattice_moments", exact)
+            assert verify_general_identity(d, f, 2) == ZERO
 
 
 class TestAdditivity:

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from corpus import delzant_corpus, random_unimodular
+from corpus import decomposition_corpus, delzant_corpus, random_unimodular
 from polychow import (
     AffineMap,
     DegeneratePolytope,
@@ -22,8 +22,10 @@ from polychow import (
     boundary_moment,
     canonicalize,
     chow_eval,
+    chow_poly,
     corner_frame,
     denominator_lcm,
+    df_invariants,
     ehrhart_eval,
     ehrhart_poly,
     is_delzant,
@@ -78,6 +80,55 @@ def test_chow_laws_on_corpus():
             assert chow_eval(apply_affine(polygon, AffineMap.from_int_mat(u)), ID, i) == u.apply(base)
         for k in (2, 3):
             assert chow_eval(scale(polygon, k), ID, 1) == chow_eval(polygon, ID, k) * Fraction(k**3)
+
+
+def assert_exact(*vectors):
+    for v in vectors:
+        assert type(v.x) is Fraction and type(v.y) is Fraction
+
+
+def test_chow_poly_matches_its_definition():
+    # Vol * s(i) - E(i) * moment, coefficient by coefficient, on the Delzant
+    # corpus and on the scaled bases and chopped polygons of the
+    # decomposition corpus
+    decompositions = decomposition_corpus(max_count=12)
+    polygons = CORPUS + [d.scaled_base() for d in decompositions]
+    polygons += [d.scaled_chopped() for d in decompositions]
+    for polygon in polygons:
+        chow, s, e = chow_poly(polygon), sum_poly(polygon), ehrhart_poly(polygon)
+        vol, moment = area(polygon), moment_integral(polygon)
+        assert_exact(chow.c2, chow.c1, chow.c0)
+        assert chow.c2 == s.c2 * vol - moment * e.c2 == Vec2.of(0, 0)
+        assert chow.c1 == s.c1 * vol - moment * e.c1
+        assert chow.c0 == s.c0 * vol - moment * e.c0
+
+
+def test_df_invariants_match_docstring_formula():
+    # DF1 and DF2 as written in the df_invariants docstring, in Fractions
+    # from moment_integral, boundary_moment and sum_poly
+    for d in decomposition_corpus(max_count=12):
+        scaled = d.scaled_base()
+        frame_m3 = frame_m1 = vert_m2 = vert_m1 = Vec2.of(0, 0)
+        for cut, frame, m in zip(d.cuts, d.frames, d.m):
+            column_sum = Vec2.of(frame.a + frame.b, frame.c + frame.d)
+            vertex = cut.vertex * d.k
+            frame_m3 = frame_m3 + column_sum * m**3
+            frame_m1 = frame_m1 + column_sum * m
+            vert_m2 = vert_m2 + vertex * m**2
+            vert_m1 = vert_m1 + vertex * m
+        a_c, b_c = d.a_const, d.b_const
+        df1 = (
+            (frame_m3 * a_c + (vert_m2 * a_c - vert_m1 * b_c) * 3) * Fraction(1, 12)
+            + moment_integral(scaled) * Fraction(d.m_sum, 2)
+            - boundary_moment(scaled) * Fraction(d.m_square_sum, 4)
+        )
+        df2 = (
+            (frame_m1 * b_c + frame_m3 * 2 + vert_m2 * 6) * Fraction(1, 12)
+            - sum_poly(scaled).c0 * Fraction(d.m_square_sum, 2)
+        )
+        got = df_invariants(d)
+        assert_exact(*got)
+        assert got == (df1, df2)
 
 
 def test_delzant_preserved_by_corpus_transforms():
