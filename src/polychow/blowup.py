@@ -341,7 +341,9 @@ def df_invariants(decomposition: Decomposition) -> tuple[Vec2, Vec2]:
 
 
 def chow_after_blowup(decomposition: Decomposition) -> VecPoly:
-    """Chow weight of the scaled chopped polygon via the blow-up identity."""
+    """Chow weight of the scaled chopped polygon via the blow-up identity.
+    The scaled base is scanned once: `df_invariants` gates it and
+    `chow_poly` reads the constant that the gate stored."""
     df1, df2 = df_invariants(decomposition)
     base_poly = chow_poly(decomposition.scaled_base())
     return VecPoly(ZERO_VEC, base_poly.c1 + df1, base_poly.c0 + df2)
@@ -358,6 +360,15 @@ class BlowupVerification:
         return all(lhs == rhs for _, lhs, rhs in self.entries)
 
 
+def _over_common_denominator(*coefficients) -> tuple[list[int], int]:
+    """The numerators of exact rationals over their least common
+    denominator, and that denominator. `as_integer_ratio` reads an int or
+    a Fraction (and a float, exactly) without building a Fraction."""
+    ratios = [c.as_integer_ratio() for c in coefficients]
+    denominator = lcm(*(q for _, q in ratios))
+    return [n * (denominator // q) for n, q in ratios], denominator
+
+
 def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVerification:
     """Compare the blow-up identity with direct enumeration for i = 1..i_max.
 
@@ -366,9 +377,12 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     closed-form route. The polygon is a lattice polygon, so with Vol =
     a2/2 and moment M/6 of its integer form and (count, sum of x, sum of
     y) of the i-th dilation, the weight is (3*a2*sums - i*count*M) / (6i).
-    Raises VerificationMismatch on the first unequal dilation, carrying the
-    full report assembled so far; its message names the scaled chopped
-    polygon, k, the base and the cuts.
+    The identity side, `chow_after_blowup` with c2 included, is brought
+    over one denominator per coordinate once, so at each i both sides are
+    integer numerators compared by cross-multiplying, and one Fraction per
+    coordinate is built for the report. Raises VerificationMismatch on the
+    first unequal dilation, carrying the full report assembled so far; its
+    message names the scaled chopped polygon, k, the base and the cuts.
     """
     if i_max < 1:
         raise ValueError("i_max must be a positive integer")
@@ -377,25 +391,34 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     target = d.scaled_chopped()
     vol6 = 3 * target.integer.twice_area
     mx, my = target.integer.moment
+    # the identity side per coordinate: c2, c1 and c0 over one denominator
+    (x2, x1, x0), qx = _over_common_denominator(
+        identity_side.c2.x, identity_side.c1.x, identity_side.c0.x
+    )
+    (y2, y1, y0), qy = _over_common_denominator(
+        identity_side.c2.y, identity_side.c1.y, identity_side.c0.y
+    )
     entries: list[tuple[int, Vec2, Vec2]] = []
     for i in range(1, i_max + 1):
-        lhs = identity_side(i)
         count, sx, sy = lattice_moments(target, i)
-        rhs = Vec2(
-            Fraction(vol6 * sx - i * count * mx, 6 * i),
-            Fraction(vol6 * sy - i * count * my, 6 * i),
-        )
+        # the identity side over qx and qy, the enumerated side over 6i
+        lx, ly = (x2 * i + x1) * i + x0, (y2 * i + y1) * i + y0
+        ex, ey = vol6 * sx - i * count * mx, vol6 * sy - i * count * my
+        rhs = Vec2(Fraction(ex, 6 * i), Fraction(ey, 6 * i))
+        if lx * 6 * i == ex * qx and ly * 6 * i == ey * qy:
+            entries.append((i, rhs, rhs))
+            continue
+        lhs = Vec2(Fraction(lx, qx), Fraction(ly, qy))
         entries.append((i, lhs, rhs))
-        if lhs != rhs:
-            cut_text = ", ".join(
-                f"({cut.vertex.x}, {cut.vertex.y}) at depth {cut.depth}" for cut in d.cuts
-            )
-            where = (
-                f" on the scaled chopped polygon {target.vertex_text()} "
-                f"at lattice multiple k={d.k}, from base {d.base.vertex_text()} "
-                f"cut at [{cut_text}]"
-            )
-            raise VerificationMismatch(i, lhs, rhs, BlowupVerification(tuple(entries)), where)
+        cut_text = ", ".join(
+            f"({cut.vertex.x}, {cut.vertex.y}) at depth {cut.depth}" for cut in d.cuts
+        )
+        where = (
+            f" on the scaled chopped polygon {target.vertex_text()} "
+            f"at lattice multiple k={d.k}, from base {d.base.vertex_text()} "
+            f"cut at [{cut_text}]"
+        )
+        raise VerificationMismatch(i, lhs, rhs, BlowupVerification(tuple(entries)), where)
     return BlowupVerification(tuple(entries))
 
 

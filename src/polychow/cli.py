@@ -136,9 +136,9 @@ def _charge_dilations(polygon: Polygon, calls: int, top: int, knob: str) -> None
     is refused at once instead of running until it is killed."""
     if calls < 1:
         return
-    ys = [y for _, y in polygon.integer.vertices]
-    rows = calls * (top * (max(ys) - min(ys)) // polygon.integer.scale + 1)
-    _charge_budget(rows, f"{knob} scans up to {rows} rows")
+    low, high = polygon.integer.heights
+    rows = calls * (top * (high - low) // polygon.integer.scale + 1)
+    _charge_budget(rows, "{} scans up to {} rows", knob, rows)
 
 
 def _polygon_report(polygon: Polygon) -> dict:

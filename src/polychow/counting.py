@@ -1,27 +1,31 @@
 """Lattice point enumeration and the degree-2 counting polynomials.
 
 Enumeration is the single source of truth here. Each row of a dilation
-runs from a floor bound on its left chain edge to one on its right edge;
-one kernel entry, `_charge_rows`, charges the rows and builds the chains,
-and `lattice_moments` sums the bounds edge by edge with floor sums into
+runs from a floor bound on its left chain edge to one on its right edge.
+The polygon's integer form holds the chains of the first dilation, built
+by its constructor's edge loop; one kernel entry, `_charge_rows`, charges
+the rows of the i-th dilation and scales the chains to it, and
+`lattice_moments` sums the bounds edge by edge with floor sums into
 (count, sum of x, sum of y), in O(log) steps per edge and without visiting
 a row. Every count or sum below is one call to it. `lattice_points` takes
 its count from the same floor sums, is charged for rows plus points before
-it visits any row, and lists each edge's rows from the same bounds; there
-is no separate row scan.
+it visits any row, and lists each edge's rows from the same bounds into
+per-column lists; there is no separate row scan and no sort of the points.
 The Ehrhart polynomial comes from Pick's theorem and the point-sum
 polynomial from the Euler-Maclaurin form of the lattice-normalized
 boundary measure, with one enumerated constant; one builder checks both
-against the enumerated moments at dilations 1, 2 and 3, and a mismatch
-raises InternalInconsistency instead of returning a silently wrong
-polynomial.
+against the enumerated moments at dilations 1, 2 and 3, once per polygon
+object, and a mismatch raises InternalInconsistency instead of returning
+a silently wrong polynomial.
 """
 
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .errors import EnumerationLimitExceeded, InternalInconsistency, NotLatticePolygon
@@ -30,6 +34,7 @@ from .geometry import (
     Polygon,
     Vec2,
     ZERO_VEC,
+    _Edge,
     is_lattice,
 )
 
@@ -37,19 +42,29 @@ MAX_ENUM_ENV = "POLYCHOW_MAX_ENUM"
 DEFAULT_MAX_ENUM = 10**8
 
 
-def _charge_budget(units: int, what: str) -> None:
-    """Refuse `units` of work over the cap in POLYCHOW_MAX_ENUM; `what`
-    says what the work is, for the message."""
-    raw = os.environ.get(MAX_ENUM_ENV, str(DEFAULT_MAX_ENUM))
+@lru_cache(maxsize=1)
+def _parse_cap(raw: str) -> int:
+    """The cap that the value of POLYCHOW_MAX_ENUM sets, parsed once per
+    distinct string; a value that is not a positive integer is refused."""
     try:
         budget = int(raw)
     except ValueError as exc:
         raise EnumerationLimitExceeded(f"{MAX_ENUM_ENV} is not an integer: {raw!r}") from exc
     if budget < 1:
         raise EnumerationLimitExceeded(f"{MAX_ENUM_ENV} must be positive, got {budget}")
+    return budget
+
+
+def _charge_budget(units: int, what: str, *parts: object) -> None:
+    """Refuse `units` of work over the cap in POLYCHOW_MAX_ENUM. `what`
+    says what the work is, as a format string for `parts`; the message is
+    formatted only when the work is refused."""
+    raw = os.environ.get(MAX_ENUM_ENV)
+    budget = DEFAULT_MAX_ENUM if raw is None else _parse_cap(raw)
     if units > budget:
         raise EnumerationLimitExceeded(
-            f"{what}, over the cap of {budget} (set {MAX_ENUM_ENV} to raise the cap)"
+            f"{what.format(*parts)}, over the cap of {budget} "
+            f"(set {MAX_ENUM_ENV} to raise the cap)"
         )
 
 
@@ -86,9 +101,6 @@ class VecPoly:
         return self.c2 == ZERO_VEC and self.c1 == ZERO_VEC and self.c0 == ZERO_VEC
 
 
-_Edge = tuple[int, int, int, int]
-
-
 def _charge_rows(polygon: Polygon, i: int) -> tuple[range, list[_Edge], list[_Edge]]:
     """The rows of the i-th dilation, every integer y between its lowest and
     highest vertex, charged to the budget before any work on them, and its
@@ -97,38 +109,24 @@ def _charge_rows(polygon: Polygon, i: int) -> tuple[range, list[_Edge], list[_Ed
     here, once; the rows bound the size of the input, whether or not they
     are visited.
 
-    The vertices of the polygon's integer form (scaled by the lcm L of their
-    denominators) are scaled by i, so (x, y) lies in the dilation exactly
-    when (L*x, L*y) lies in the scaled polygon. The interior is on the left
-    of each CCW edge (px, py) -> (px+dx, py+dy):
-    dx*(L*y - py) - dy*(L*x - px) >= 0. With a = px*dy - dx*py, c = dx*L
-    and b = |dy|*L that is x <= (a + c*y) / b on the right chain (dy > 0)
-    and x >= -(a + c*y) / b on the left chain (dy < 0), so row y's last
-    point is (a + c*y) // b on its right edge and its first point is
-    -((a + c*y) // b) on its left edge. An edge bounds the rows above the
-    top of the edge below it, up to its own top row. Horizontal edges lie
-    on the first or last row and bound nothing.
+    The polygon's integer form (its vertices scaled by the lcm L of their
+    denominators) holds the heights and the chains of the first dilation;
+    see `IntegerForm` for the edge inequality. Row y's last point is
+    (a + c*y) // b on its right edge and its first point is
+    -((a + c*y) // b) on its left edge. Dilating by i multiplies the
+    vertices and the tops by i, a by i^2 and c and b by i; as
+    (i^2*a + i*c*y) // (i*b) = (i*a + c*y) // b, only the tops and the
+    offsets a are scaled here. An edge bounds the rows above the top of the
+    edge below it, up to its own top row.
     """
     if i < 1:
         raise ValueError("dilation factor must be a positive integer")
     form = polygon.integer
-    scale_l = form.scale
-    verts = [(x * i, y * i) for x, y in form.vertices]
-    ys = [y for _, y in verts]
-    rows = range(-(-min(ys) // scale_l), max(ys) // scale_l + 1)
-    _charge_budget(len(rows), f"enumeration scans {len(rows)} rows")
-    right: list[_Edge] = []
-    left: list[_Edge] = []
-    px, py = verts[-1]
-    for qx, qy in verts:
-        dx, dy = qx - px, qy - py
-        if dy > 0:
-            right.append((qy, px * dy - dx * py, dx * scale_l, dy * scale_l))
-        elif dy < 0:
-            left.append((py, px * dy - dx * py, dx * scale_l, -dy * scale_l))
-        px, py = qx, qy
-    right.sort()
-    left.sort()
+    low, high = form.heights
+    rows = range(-(-low * i // form.scale), high * i // form.scale + 1)
+    _charge_budget(len(rows), "enumeration scans {} rows", len(rows))
+    right = [(top * i, a * i, c, b) for top, a, c, b in form.right]
+    left = [(top * i, a * i, c, b) for top, a, c, b in form.left]
     return rows, right, left
 
 
@@ -199,11 +197,16 @@ def lattice_points(polygon: Polygon, i: int) -> list[tuple[int, int]]:
     """All integer points of the i-th dilation, lexicographically sorted.
     The floor sums count the points first, and the rows plus the points are
     charged to the budget before any row is visited; then each chain edge
-    gives the bound of its rows y0 .. y1, one floor division per row."""
+    gives the bound of its rows y0 .. y1, one floor division per row. Rows
+    are visited bottom to top into per-column lists, joined by sorted x:
+    no sort of the points. Columns are keyed by x, as a thin slanted
+    polygon can be far wider than its rows plus points."""
     scale_l = polygon.integer.scale
     rows, right, left = _charge_rows(polygon, i)
     count = _moments(scale_l, rows, right, left)[0]
-    _charge_budget(len(rows) + count, f"point listing scans {len(rows)} rows plus {count} points")
+    _charge_budget(
+        len(rows) + count, "point listing scans {} rows plus {} points", len(rows), count
+    )
     f_rows: list[int] = []  # F(y), the last point of each row
     g_rows: list[int] = []  # G(y), minus the first point of each row
     for chain, bounds in ((right, f_rows), (left, g_rows)):
@@ -212,12 +215,12 @@ def lattice_points(polygon: Polygon, i: int) -> list[tuple[int, int]]:
             y1 = top // scale_l
             bounds += [(a + c * y) // b for y in range(y0, y1 + 1)]
             y0 = y1 + 1
-    # a row without points has F + G = -1; skipping it is cheaper than an empty range
-    points = [
-        (x, y) for y, f, g in zip(rows, f_rows, g_rows) if f + g >= 0 for x in range(-g, f + 1)
-    ]
-    points.sort()
-    return points
+    # a row without points has F + G = -1 and adds nothing
+    columns: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for y, f, g in zip(rows, f_rows, g_rows):
+        for x in range(-g, f + 1):
+            columns[x].append((x, y))
+    return [point for x in sorted(columns) for point in columns[x]]
 
 
 def ehrhart_eval(polygon: Polygon, i: int) -> int:
@@ -246,7 +249,13 @@ def _counting_and_sum_polys(polygon: Polygon) -> tuple[int, int]:
     the scan at i = 1. The scans at i = 1, 2, 3 check E at all three and s
     at 2 and 3, in those ints; a mismatch raises InternalInconsistency.
     Every caller builds its Fractions from these ints once.
+
+    The gate runs once per polygon object: once it passes, (cx, cy) is
+    stored in `Polygon._sum_constant` and returned by later calls. A gate
+    that fails stores nothing.
     """
+    if polygon._sum_constant is not None:
+        return polygon._sum_constant
     if not is_lattice(polygon):
         raise NotLatticePolygon("counting and sum polynomials need integral vertices")
     form = polygon.integer
@@ -266,6 +275,7 @@ def _counting_and_sum_polys(polygon: Polygon) -> tuple[int, int]:
                 f"s = ({Fraction(x12, 12 * i)}, {Fraction(y12, 12 * i)}); enumerated "
                 f"E = {count}, s = ({Fraction(sx, i)}, {Fraction(sy, i)})"
             )
+    object.__setattr__(polygon, "_sum_constant", (cx, cy))
     return cx, cy
 
 

@@ -163,6 +163,10 @@ class AffineMap:
         return self.linear_apply(v) + self.offset
 
 
+# one edge of a kernel chain: (L*y of its top vertex, a, c, b), see IntegerForm
+_Edge = tuple[int, int, int, int]
+
+
 @dataclass(frozen=True)
 class IntegerForm:
     """A polygon scaled by the least common multiple `scale` of its vertex
@@ -172,7 +176,19 @@ class IntegerForm:
     - `twice_area` is 2 * scale^2 * area,
     - `moment` is 6 * scale^3 * (integral of the coordinate vector),
     - `boundary_length` is scale * (boundary lattice length),
-    - `boundary_moment` is 2 * scale^2 * (lattice-normalized boundary moment).
+    - `boundary_moment` is 2 * scale^2 * (lattice-normalized boundary moment),
+    - `heights` is the least and the largest y of a vertex,
+    - `right` and `left` are the enumeration kernel's chains, sorted bottom
+      to top.
+
+    The interior is on the left of each CCW edge (px, py) -> (qx, qy) of
+    the integer vertices: dx*(L*y - py) - dy*(L*x - px) >= 0 for a point
+    (x, y) of the polygon, with (dx, dy) = q - p and L = scale. With the
+    edge's shoelace term a = px*qy - qx*py = px*dy - dx*py, c = dx*L and
+    b = |dy|*L that is x <= (a + c*y) / b on the right chain (dy > 0) and
+    x >= -(a + c*y) / b on the left chain (dy < 0). Each edge is stored as
+    (L*y of its top vertex, a, c, b); horizontal edges bound no row and
+    are left out.
     """
 
     scale: int
@@ -181,6 +197,9 @@ class IntegerForm:
     moment: tuple[int, int]
     boundary_length: int
     boundary_moment: tuple[int, int]
+    heights: tuple[int, int]
+    right: tuple[_Edge, ...]
+    left: tuple[_Edge, ...]
 
 
 def _scaled_to_integers(points: Sequence[Vec2]) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -199,11 +218,15 @@ def _integer_form(scale: int, pts: tuple[tuple[int, int], ...]) -> IntegerForm:
     """The integer form of a canonical vertex cycle pts / scale, with scale
     the least that makes every vertex an integer pair, after the checks
     that make it one: at least three vertices, strictly convex and
-    counter-clockwise, starting at the smallest vertex."""
+    counter-clockwise, starting at the smallest vertex. One loop over the
+    edges sums the invariants and builds the kernel chains of the first
+    dilation, whose offset a is the edge's shoelace term."""
     n = len(pts)
     if n < 3:
         raise DegeneratePolytope("a polygon needs at least three vertices")
     twice_area = mx = my = length = bx = by = 0
+    right: list[_Edge] = []
+    left: list[_Edge] = []
     for j in range(n):
         px, py = pts[j - 1]
         qx, qy = pts[j]
@@ -211,9 +234,13 @@ def _integer_form(scale: int, pts: tuple[tuple[int, int], ...]) -> IntegerForm:
         dx, dy = qx - px, qy - py
         if dx * (ry - qy) - dy * (rx - qx) <= 0:
             raise DegeneratePolytope("vertices must be strictly convex and counter-clockwise")
-        # edge p -> q: its shoelace term, its moment term (Green's theorem)
-        # and its lattice length times its midpoint
+        # edge p -> q: its shoelace term, its moment term (Green's theorem),
+        # its lattice length times its midpoint and its chain entry
         cross = px * qy - qx * py
+        if dy > 0:
+            right.append((qy, cross, dx * scale, dy * scale))
+        elif dy < 0:
+            left.append((py, cross, dx * scale, -dy * scale))
         twice_area += cross
         mx += (px + qx) * cross
         my += (py + qy) * cross
@@ -223,7 +250,13 @@ def _integer_form(scale: int, pts: tuple[tuple[int, int], ...]) -> IntegerForm:
         by += (py + qy) * steps
     if min(pts) != pts[0]:
         raise DegeneratePolytope("canonical form starts at the smallest vertex")
-    return IntegerForm(scale, pts, twice_area, (mx, my), length, (bx, by))
+    right.sort()
+    left.sort()
+    ys = [y for _, y in pts]
+    return IntegerForm(
+        scale, pts, twice_area, (mx, my), length, (bx, by),
+        (min(ys), max(ys)), tuple(right), tuple(left),
+    )
 
 
 @dataclass(frozen=True)
@@ -235,10 +268,15 @@ class Polygon:
     vertex lexicographically smallest. Use `canonicalize` to build one from
     arbitrary points. `integer` is the polygon's integer form, built once
     by those checks; the measures below and the enumeration kernel read it.
+    `_sum_constant` is 12 times the point-sum constant, stored once the
+    gate of `counting._counting_and_sum_polys` has passed on this object.
     """
 
     vertices: tuple[Vec2, ...]
     integer: IntegerForm = field(init=False, repr=False, compare=False)
+    _sum_constant: tuple[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "integer", _integer_form(*_scaled_to_integers(self.vertices)))

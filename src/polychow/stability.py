@@ -279,7 +279,7 @@ def mukai_classify(configuration: PointConfiguration) -> MukaiResult:
     if count == 0:
         raise EmptyConfiguration("need at least one point")
     pairs = count * (count - 1) // 2
-    _charge_budget(pairs, f"incidence test compares {pairs} point pairs")
+    _charge_budget(pairs, "incidence test compares {} point pairs", pairs)
 
     pairs_on_line: dict[tuple[int, int, int], int] = {}
     for j, (px, py, pz) in enumerate(points):

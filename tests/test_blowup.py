@@ -18,6 +18,7 @@ from polychow import (
     OverlappingCuts,
     Polygon,
     Vec2,
+    VecPoly,
     VerificationMismatch,
     area,
     chop_corners,
@@ -211,10 +212,10 @@ class TestBlowupIdentity:
 
     def test_hexagon_cut_scans(self, hexagon, scans):
         # the scaled base at i = 1, 2, 3 for the point-sum constant in
-        # df_invariants, and again for chow_poly
+        # df_invariants; chow_poly reads the constant stored by that gate
         d = hexagon_cut(hexagon)
         chow_after_blowup(d)
-        assert scans == [(d.scaled_base(), i) for i in (1, 2, 3)] * 2
+        assert scans == [(d.scaled_base(), i) for i in (1, 2, 3)]
 
     def test_two_cut_chow_vanishes(self, hexagon):
         d = chop_corners(hexagon, [CornerCut.of((0, 2), HALF), CornerCut.of((2, 0), HALF)])
@@ -257,6 +258,23 @@ class TestBlowupIdentity:
             return df1 + Vec2.of(1, 0), df2
 
         monkeypatch.setattr(blowup_module, "df_invariants", shifted)
+        with pytest.raises(VerificationMismatch) as excinfo:
+            verify_blowup_theorem(d, 3)
+        assert excinfo.value.i == 1
+        assert excinfo.value.lhs - excinfo.value.rhs == Vec2.of(1, 0)
+
+    def test_identity_side_quadratic_term_checked(self, hexagon, monkeypatch):
+        # c2 is zero by construction; a non-zero one must still show at i = 1
+        import polychow.blowup as blowup_module
+
+        d = hexagon_cut(hexagon)
+        exact = blowup_module.chow_after_blowup
+
+        def with_c2(decomposition):
+            poly = exact(decomposition)
+            return VecPoly(Vec2.of(1, 0), poly.c1, poly.c0)
+
+        monkeypatch.setattr(blowup_module, "chow_after_blowup", with_c2)
         with pytest.raises(VerificationMismatch) as excinfo:
             verify_blowup_theorem(d, 3)
         assert excinfo.value.i == 1

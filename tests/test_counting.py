@@ -10,6 +10,7 @@ import brute
 from conftest import quadrilateral
 from polychow import (
     AffineMap,
+    CornerCut,
     EnumerationLimitExceeded,
     IntMat2,
     InternalInconsistency,
@@ -19,7 +20,9 @@ from polychow import (
     Vec2,
     VecPoly,
     apply_affine,
+    chop_corners,
     chow_poly,
+    df_invariants,
     ehrhart_eval,
     ehrhart_poly,
     lattice_moments,
@@ -86,6 +89,14 @@ class TestLatticePoints:
         assert lattice_moments(cp2_triangle, 1) == (10, 10, 10)
         with pytest.raises(EnumerationLimitExceeded, match="4 rows plus 10 points"):
             lattice_points(cp2_triangle, 1)
+
+    def test_wide_sliver_lists_by_its_points(self):
+        # 2 rows and 3 points, 10^12 columns wide: the listing costs its rows
+        # plus points, not its width
+        sliver = Polygon.from_coords([(0, 0), (10**12, 1), (10**12 - 1, 1)])
+        started = time.monotonic()
+        assert lattice_points(sliver, 1) == [(0, 0), (10**12 - 1, 1), (10**12, 1)]
+        assert time.monotonic() - started < 0.1
 
     def test_listing_refused_before_any_row(self, monkeypatch):
         # 3 points on 3 * 10^6 rows: the floor sums count the points, so the
@@ -168,6 +179,44 @@ class TestClosedFormGates:
         polygon = Polygon.from_coords([(0, 0), (3, 0), (0, 3)])
         polynomial(polygon)
         assert scans == [(polygon, i) for i in dilations]
+
+    def test_one_gate_per_polygon_object(self, scans):
+        # ehrhart_poly, sum_poly, chow_poly and df_invariants on one scaled
+        # base share one gate: three scans in all
+        d = chop_corners(Polygon.from_coords([(0, 0), (3, 0), (0, 3)]),
+                         [CornerCut.of((0, 0), 1)])
+        polygon = d.scaled_base()
+        first = (ehrhart_poly(polygon), sum_poly(polygon), chow_poly(polygon))
+        df = df_invariants(d)
+        assert scans == [(polygon, i) for i in (1, 2, 3)]
+        assert (ehrhart_poly(polygon), sum_poly(polygon), chow_poly(polygon)) == first
+        assert df_invariants(d) == df
+        assert len(scans) == 3
+
+    def test_equal_polygon_object_gated_again(self, scans):
+        coords = [(0, 0), (3, 0), (0, 3)]
+        polygon, twin = Polygon.from_coords(coords), Polygon.from_coords(coords)
+        assert polygon == twin and polygon is not twin
+        assert sum_poly(polygon) == sum_poly(twin)
+        assert scans == [(polygon, i) for i in (1, 2, 3)] * 2
+        assert [p is polygon for p, _ in scans] == [True] * 3 + [False] * 3
+
+    def test_failed_gate_stores_nothing(self, scans):
+        polygon = Polygon.from_coords([(0, 0), (3, 0), (0, 3)])
+        object.__setattr__(polygon, "integer", replace(polygon.integer, twice_area=10))
+        for _ in range(2):
+            with pytest.raises(InternalInconsistency, match="at i=1:"):
+                ehrhart_poly(polygon)
+        assert scans == [(polygon, 1)] * 2
+
+    def test_gate_leaves_equality_hash_and_repr(self):
+        coords = [(0, 0), (3, 0), (0, 3)]
+        polygon, twin = Polygon.from_coords(coords), Polygon.from_coords(coords)
+        before = (polygon == twin, hash(polygon), repr(polygon))
+        chow_poly(polygon)
+        assert (polygon == twin, hash(polygon), repr(polygon)) == before
+        assert (hash(twin), repr(twin)) == before[1:]
+        assert before[0]
 
     # an off-by-one entry of the triangle's integer form (twice the area 9,
     # boundary length 9, moment (27, 27), boundary moment (18, 18)) against

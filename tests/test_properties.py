@@ -321,6 +321,53 @@ def test_moments_match_listing_on_twisted_slivers(h, twist, offset, i):
 
 
 @given(
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=3, max_size=8),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.integers(1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_listing_order_matches_oracle_on_rational_polygons(q, numerators, offset, i):
+    # vertices over one denominator q <= 6, so the integer form's scale L
+    # is up to 6; the oracle walks x then y, so its list is in x-major order
+    # as it stands, unsorted
+    try:
+        polygon = canonicalize([
+            Vec2.of(Fraction(x, q) + offset[0], Fraction(y, q) + offset[1])
+            for x, y in numerators
+        ])
+    except DegeneratePolytope:
+        assume(False)
+    assert lattice_points(polygon, i) == brute.enumerate_points(
+        [v.as_tuple() for v in polygon.vertices], i
+    )
+
+
+@given(
+    st.integers(1, 60),
+    st.sampled_from(TWISTS),
+    st.tuples(st.integers(-9, 9), st.integers(-99, 99)),
+    st.integers(1, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_listing_matches_oracle_on_twisted_slivers(h, twist, offset, i):
+    # the benchmark's sliver family against the oracle's points of the unit
+    # triangle, mapped by the same unimodular map and moved: the columns of
+    # a twisted sliver are sparse, its rows short
+    a, b, c, d = twist
+    u = (a, b, h * a + c, h * b + d)
+    polygon = canonicalize([
+        Vec2.of(u[0] * x + u[1] * y + offset[0], u[2] * x + u[3] * y + offset[1])
+        for x, y in ((0, 0), (1, 0), (0, 1))
+    ])
+    expected = [
+        (u[0] * x + u[1] * y + i * offset[0], u[2] * x + u[3] * y + i * offset[1])
+        for x, y in brute.enumerate_points([(0, 0), (1, 0), (0, 1)], i)
+    ]
+    assert lattice_points(polygon, i) == sorted(expected)
+
+
+@given(
     st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=3, max_size=8),
     st.tuples(FAR, FAR),
     st.integers(1, 40),
