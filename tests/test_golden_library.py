@@ -1,14 +1,19 @@
 """Replays recorded library outputs and compares their `repr`s.
 
-`tests/golden/library_repr.json` maps each subject (a catalog polygon or a
-corpus decomposition) to the `repr` of what the library returns for it:
-for the polygons of `CATALOG`, `ehrhart_poly`, `sum_poly`, `chow_poly` and
-`lattice_points` at i = 1, 2, 3; for `decomposition_corpus(max_count=40)`,
+`tests/golden/library_repr.json` maps each subject (a catalog polygon, a
+corpus decomposition or a group of sum-rule decompositions) to the `repr`
+of what the library returns for it: for the polygons of `CATALOG`,
+`ehrhart_poly`, `sum_poly`, `chow_poly`, `c_constant`, and
+`lattice_points`, `fo_invariant` and `chow_eval` (for one fixed affine f)
+at i = 1, 2, 3; for `decomposition_corpus(max_count=40)`,
 `df_invariants`, `chow_after_blowup`, the entries of
 `verify_blowup_theorem(d, 6)`, `verify_general_identity` at i = 1, 2, 3
-for one fixed affine f, and `lattice_points` of the (rational) chopped
-polygon at i = 1, 2, 3. A `repr` pins values and types alike: every
-coefficient must stay a `Fraction`.
+for the same f, `lattice_points` of the (rational) chopped polygon at
+i = 1, 2, 3, and both sum-rule functions; and for every balanced base of
+`delzant_corpus(size=20)` scaled by 1, 2 or 3, both sum-rule functions on
+each decomposition cutting one or two corners at depth 1 or 2. A `repr`
+pins values and types alike: every coefficient must stay a `Fraction`.
+Where a call raises, the exception's type and message are recorded.
 
 After a deliberate change of library output, rewrite the recorded results
 with `PYTHONPATH=src python tests/test_golden_library.py` and review the
@@ -22,18 +27,29 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
+from itertools import combinations, product
+
 import pytest
-from corpus import CATALOG, decomposition_corpus
+from corpus import CATALOG, decomposition_corpus, delzant_corpus
 
 from polychow import (
     AffineMap,
+    CornerCut,
+    PolychowError,
     Vec2,
+    c_constant,
+    chop_corners,
     chow_after_blowup,
+    chow_eval,
     chow_poly,
     df_invariants,
     ehrhart_poly,
+    fo_invariant,
     lattice_points,
+    scale,
     sum_poly,
+    sum_rule_constant_condition,
+    sum_rule_residuals,
     verify_blowup_theorem,
     verify_general_identity,
 )
@@ -44,15 +60,34 @@ GOLDEN = Path(__file__).parent / "golden" / "library_repr.json"
 F = AffineMap.linear(2, -1, Fraction(1, 3), 1, Vec2.of(5, Fraction(-1, 2)))
 
 
+def _outcome(function, *args) -> str:
+    """The `repr` of what the call returns, or the type and message of the
+    library error it raises."""
+    try:
+        return repr(function(*args))
+    except PolychowError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _polygon_outputs(polygon) -> dict[str, str]:
     out = {
         "ehrhart_poly": repr(ehrhart_poly(polygon)),
         "sum_poly": repr(sum_poly(polygon)),
         "chow_poly": repr(chow_poly(polygon)),
+        "c_constant": repr(c_constant(polygon)),
     }
     for i in (1, 2, 3):
         out[f"lattice_points {i}"] = repr(lattice_points(polygon, i))
+        out[f"fo_invariant {i}"] = _outcome(fo_invariant, polygon, i)
+        out[f"chow_eval {i}"] = repr(chow_eval(polygon, F, i))
     return out
+
+
+def _sum_rule_outputs(d) -> dict[str, str]:
+    return {
+        "sum_rule_residuals": _outcome(sum_rule_residuals, d),
+        "sum_rule_constant_condition": _outcome(sum_rule_constant_condition, d),
+    }
 
 
 def _decomposition_outputs(d) -> dict[str, str]:
@@ -65,6 +100,25 @@ def _decomposition_outputs(d) -> dict[str, str]:
         out[f"verify_general_identity {i}"] = repr(verify_general_identity(d, F, i))
     for i in (1, 2, 3):
         out[f"chopped lattice_points {i}"] = repr(lattice_points(d.chopped, i))
+    out.update(_sum_rule_outputs(d))
+    return out
+
+
+def _sum_rule_sweep_outputs(scaled) -> dict[str, str]:
+    """Both sum-rule functions on every valid chop of one or two corners of
+    a balanced base at depth 1 or 2, keyed by the cuts."""
+    out: dict[str, str] = {}
+    for r in (1, 2):
+        for corners in combinations(scaled.vertices, r):
+            for depths in product((1, 2), repeat=r):
+                cuts = [CornerCut(v, t) for v, t in zip(corners, depths)]
+                try:
+                    d = chop_corners(scaled, cuts)
+                except PolychowError:
+                    continue
+                key = "; ".join(f"({c.vertex.x}, {c.vertex.y}) at {c.depth}" for c in cuts)
+                for name, text in _sum_rule_outputs(d).items():
+                    out[f"{key}: {name}"] = text
     return out
 
 
@@ -74,6 +128,12 @@ def _subjects() -> dict[str, tuple]:
         subjects[f"catalog[{n}]"] = (_polygon_outputs, polygon)
     for n, d in enumerate(decomposition_corpus(max_count=40)):
         subjects[f"corpus[{n}]"] = (_decomposition_outputs, d)
+    zero = Vec2.of(0, 0)
+    for n, base in enumerate(delzant_corpus(size=20)):
+        for factor in (1, 2, 3):
+            scaled = scale(base, factor)
+            if fo_invariant(scaled, 1) == zero:
+                subjects[f"sum_rule[{n}, {factor}]"] = (_sum_rule_sweep_outputs, scaled)
     return subjects
 
 
