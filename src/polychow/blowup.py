@@ -56,7 +56,7 @@ from .geometry import (
     scale,
     to_fraction,
 )
-from .chow import chow_poly
+from .chow import _weight, chow_poly
 from .counting import VecPoly, _counting_and_sum_polys, lattice_moments
 
 
@@ -112,14 +112,9 @@ class Decomposition:
         return self._scaled_chopped
 
 
-def _triangles_disjoint(t1: Polygon, t2: Polygon) -> bool:
-    """Exact separating-axis test for closed convex polygons, on their
-    integer forms brought to one common scale."""
-    common = lcm(t1.integer.scale, t2.integer.scale)
-
-    def integer_vertices(t: Polygon) -> list[tuple[int, int]]:
-        factor = common // t.integer.scale
-        return [(x * factor, y * factor) for x, y in t.integer.vertices]
+def _triangles_disjoint(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bool:
+    """Exact separating-axis test for closed convex polygons, given as
+    counter-clockwise integer vertex cycles at one common scale."""
 
     def separated_by_edge_of(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bool:
         for (px, py), (qx, qy) in zip(a, a[1:] + a[:1]):
@@ -129,7 +124,6 @@ def _triangles_disjoint(t1: Polygon, t2: Polygon) -> bool:
                 return True
         return False
 
-    a, b = integer_vertices(t1), integer_vertices(t2)
     return separated_by_edge_of(a, b) or separated_by_edge_of(b, a)
 
 
@@ -153,9 +147,9 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
     for cut in cuts:
         idx = base.index_of(cut.vertex)
         if idx is None:
-            raise InvalidCutVertex(f"{cut.vertex} is not a vertex of the base polygon")
+            raise InvalidCutVertex(f"{cut.vertex.text()} is not a vertex of the base polygon")
         if idx in seen:
-            raise InvalidCutVertex(f"vertex {cut.vertex} is cut twice")
+            raise InvalidCutVertex(f"vertex {cut.vertex.text()} is cut twice")
         seen.add(idx)
         indices.append(idx)
 
@@ -178,21 +172,20 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
             wx, wy = verts[neighbour % n]
             if depth >= gcd(wx - vx, wy - vy):
                 raise CutThroughEdge(
-                    f"cut of depth {cut.depth} at {base.vertex(idx)} reaches the edge "
-                    f"towards {base.vertex(neighbour)}"
+                    f"cut of depth {cut.depth} at {base.vertex(idx).text()} reaches the edge "
+                    f"towards {base.vertex(neighbour).text()}"
                 )
         (nx, ny), (px, py) = frame.columns()
         seam_points[idx] = ((vx + nx * depth, vy + ny * depth), (vx + px * depth, vy + py * depth))
 
-    simplices = tuple(
-        _from_integers(common, _hull([verts[idx], *seam_points[idx]])) for idx in indices
-    )
-    for a in range(len(simplices)):
-        for b in range(a + 1, len(simplices)):
-            if not _triangles_disjoint(simplices[a], simplices[b]):
+    triangles = [_hull([verts[idx], *seam_points[idx]]) for idx in indices]
+    for a in range(len(triangles)):
+        for b in range(a + 1, len(triangles)):
+            if not _triangles_disjoint(triangles[a], triangles[b]):
                 raise OverlappingCuts(
-                    f"cuts at {cuts[a].vertex} and {cuts[b].vertex} intersect"
+                    f"cuts at {cuts[a].vertex.text()} and {cuts[b].vertex.text()} intersect"
                 )
+    simplices = tuple(_from_integers(common, triangle) for triangle in triangles)
 
     walk: list[tuple[int, int]] = []
     for idx in range(n):
@@ -374,9 +367,9 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
 
     The right side is the Chow weight of the scaled chopped polygon
     computed from its own lattice points; nothing is shared with the
-    closed-form route. The polygon is a lattice polygon, so with Vol =
-    a2/2 and moment M/6 of its integer form and (count, sum of x, sum of
-    y) of the i-th dilation, the weight is (3*a2*sums - i*count*M) / (6i).
+    closed-form route. The polygon is a lattice polygon (scale 1), so the
+    weight is `chow._weight` of its integer form and of the (count, sum of
+    x, sum of y) of the i-th dilation, over 6i.
     The identity side, `chow_after_blowup` with c2 included, is brought
     over one denominator per coordinate once, so at each i both sides are
     integer numerators compared by cross-multiplying, and one Fraction per
@@ -389,8 +382,6 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     d = decomposition
     identity_side = chow_after_blowup(d)
     target = d.scaled_chopped()
-    vol6 = 3 * target.integer.twice_area
-    mx, my = target.integer.moment
     # the identity side per coordinate: c2, c1 and c0 over one denominator
     (x2, x1, x0), qx = _over_common_denominator(
         identity_side.c2.x, identity_side.c1.x, identity_side.c0.x
@@ -400,19 +391,16 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     )
     entries: list[tuple[int, Vec2, Vec2]] = []
     for i in range(1, i_max + 1):
-        count, sx, sy = lattice_moments(target, i)
         # the identity side over qx and qy, the enumerated side over 6i
         lx, ly = (x2 * i + x1) * i + x0, (y2 * i + y1) * i + y0
-        ex, ey = vol6 * sx - i * count * mx, vol6 * sy - i * count * my
+        ex, ey = _weight(target, lattice_moments(target, i), i)
         rhs = Vec2(Fraction(ex, 6 * i), Fraction(ey, 6 * i))
         if lx * 6 * i == ex * qx and ly * 6 * i == ey * qy:
             entries.append((i, rhs, rhs))
             continue
         lhs = Vec2(Fraction(lx, qx), Fraction(ly, qy))
         entries.append((i, lhs, rhs))
-        cut_text = ", ".join(
-            f"({cut.vertex.x}, {cut.vertex.y}) at depth {cut.depth}" for cut in d.cuts
-        )
+        cut_text = ", ".join(f"{cut.vertex.text()} at depth {cut.depth}" for cut in d.cuts)
         where = (
             f" on the scaled chopped polygon {target.vertex_text()} "
             f"at lattice multiple k={d.k}, from base {d.base.vertex_text()} "
@@ -449,7 +437,8 @@ def verify_general_identity(decomposition: Decomposition, f: AffineMap, i: int) 
         V = 6*a2_r*S_r - 2i*E_r*M_r - (6*a2_c*S_c - 2i*E_c*M_c)
 
     where c is the scaled chopped polygon and a2 twice an area: 12i times
-    the Chow weight of r minus that of c. One kernel call per polygon
+    the Chow weight of r minus that of c. The term of c is twice
+    `chow._weight` of the lattice polygon c. One kernel call per polygon
     gives each count and raw sum; a seam from q to r has i*gcd(r - q) + 1
     points, which sum to i*count*(q + r)/2 over the dilation.
     """
@@ -475,11 +464,7 @@ def verify_general_identity(decomposition: Decomposition, f: AffineMap, i: int) 
         mx -= part.integer.moment[0]
         my -= part.integer.moment[1]
     target = d.scaled_chopped()
-    c_count, c_x, c_y = lattice_moments(target, i)
-    c_a2 = target.integer.twice_area
-    c_mx, c_my = target.integer.moment
-    vx = 6 * a2 * sx + 3 * a2 * seam_x2 - 2 * i * count * mx
-    vy = 6 * a2 * sy + 3 * a2 * seam_y2 - 2 * i * count * my
-    vx -= 6 * c_a2 * c_x - 2 * i * c_count * c_mx
-    vy -= 6 * c_a2 * c_y - 2 * i * c_count * c_my
+    wx, wy = _weight(target, lattice_moments(target, i), i)
+    vx = 6 * a2 * sx + 3 * a2 * seam_x2 - 2 * i * count * mx - 2 * wx
+    vy = 6 * a2 * sy + 3 * a2 * seam_y2 - 2 * i * count * my - 2 * wy
     return f.linear_apply(Vec2(Fraction(vx, 12 * i), Fraction(vy, 12 * i)))

@@ -29,23 +29,32 @@ from .geometry import (
 from .counting import VecPoly, _counting_and_sum_polys, lattice_moments
 
 
+def _weight(polygon: Polygon, moments: tuple[int, int, int], i: int) -> tuple[int, int]:
+    """6 L^3 i times the Chow weight of the coordinate function at dilation
+    i, as an int pair, from the enumerated (count, sum of x, sum of y) of
+    the i-th dilation and the polygon's integer form.
+
+    The weight is Vol * (sum of the sample points) - count * moment. With
+    scale L, Vol is twice_area / (2 L^2), the moment is moment / (6 L^3)
+    and the sample points sum to (sum of x, sum of y) / i. Only enumerated
+    values and the integer form enter: no closed-form polynomial data.
+    """
+    count, sx, sy = moments
+    form = polygon.integer
+    vol6 = 3 * form.scale * form.twice_area  # 6 L^3 * Vol
+    mx, my = form.moment
+    return vol6 * sx - i * count * mx, vol6 * sy - i * count * my
+
+
 def chow_eval(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
     """Chow weight at dilation i, by direct enumeration.
 
     The constant part of f cancels between the two terms, so the weight is
-    f_linear(Vol * (sum of the sample points) - count * moment), taken in
-    the integers of the polygon's integer form: with scale L, Vol is
-    twice_area / (2 L^2), the moment is moment / (6 L^3) and the sample
-    points sum to (sum of x, sum of y) / i.
+    f_linear of the coordinate weight, `_weight` over 6 L^3 i.
     """
-    count, sx, sy = lattice_moments(polygon, i)
-    form = polygon.integer
-    vol6 = 3 * form.scale * form.twice_area  # 6 L^3 * Vol
-    denominator = 6 * form.scale**3 * i
-    return f.linear_apply(Vec2(
-        Fraction(vol6 * sx - i * count * form.moment[0], denominator),
-        Fraction(vol6 * sy - i * count * form.moment[1], denominator),
-    ))
+    wx, wy = _weight(polygon, lattice_moments(polygon, i), i)
+    denominator = 6 * polygon.integer.scale**3 * i
+    return f.linear_apply(Vec2(Fraction(wx, denominator), Fraction(wy, denominator)))
 
 
 def chow_poly(polygon: Polygon) -> VecPoly:

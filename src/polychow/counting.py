@@ -124,7 +124,9 @@ def _charge_rows(polygon: Polygon, i: int) -> tuple[range, list[_Edge], list[_Ed
     form = polygon.integer
     low, high = form.heights
     rows = range(-(-low * i // form.scale), high * i // form.scale + 1)
-    _charge_budget(len(rows), "enumeration scans {} rows", len(rows))
+    # the row count as stop - start: len() overflows past sys.maxsize rows
+    n = rows.stop - rows.start
+    _charge_budget(n, "enumeration scans {} rows", n)
     right = [(top * i, a * i, c, b) for top, a, c, b in form.right]
     left = [(top * i, a * i, c, b) for top, a, c, b in form.left]
     return rows, right, left
@@ -172,7 +174,7 @@ def _moments(
     2 * sum x = sum (F - G) * (F + G + 1) = sum F^2 + F - G^2 - G and
     sum y = sum y*F + sum y*G + sum y.
     """
-    n = len(rows)
+    n = rows.stop - rows.start
     count, sx2, sy = n, 0, (rows.start + rows.stop - 1) * n // 2
     for chain, sign in ((right, 1), (left, -1)):
         y0 = rows.start
@@ -204,9 +206,8 @@ def lattice_points(polygon: Polygon, i: int) -> list[tuple[int, int]]:
     scale_l = polygon.integer.scale
     rows, right, left = _charge_rows(polygon, i)
     count = _moments(scale_l, rows, right, left)[0]
-    _charge_budget(
-        len(rows) + count, "point listing scans {} rows plus {} points", len(rows), count
-    )
+    n = rows.stop - rows.start
+    _charge_budget(n + count, "point listing scans {} rows plus {} points", n, count)
     f_rows: list[int] = []  # F(y), the last point of each row
     g_rows: list[int] = []  # G(y), minus the first point of each row
     for chain, bounds in ((right, f_rows), (left, g_rows)):
@@ -299,20 +300,12 @@ def sum_poly(polygon: Polygon) -> VecPoly:
     )
 
 
-def _f_sum_and_count(polygon: Polygon, f: AffineMap, i: int) -> tuple[Vec2, int]:
-    """Sum of f over the sample points of the i-th subdivision and their
-    number, from one scan.
-
-    Because f is affine the pointwise sum factors exactly as
-    f_linear(sum of points) + count * offset.
-    """
-    count, sx, sy = lattice_moments(polygon, i)
-    return f.linear_apply(Vec2(Fraction(sx, i), Fraction(sy, i))) + f.offset * count, count
-
-
 def p_delta(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
-    """Sum of f over the sample points of the i-th subdivision."""
-    return _f_sum_and_count(polygon, f, i)[0]
+    """Sum of f over the sample points of the i-th subdivision, from one
+    scan. Because f is affine the pointwise sum factors exactly as
+    f_linear(sum of points) + count * offset."""
+    count, sx, sy = lattice_moments(polygon, i)
+    return f.linear_apply(Vec2(Fraction(sx, i), Fraction(sy, i))) + f.offset * count
 
 
 def _require_integral(*points: Vec2) -> None:

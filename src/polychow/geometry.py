@@ -67,6 +67,10 @@ class Vec2:
     def as_tuple(self) -> tuple[Fraction, Fraction]:
         return (self.x, self.y)
 
+    def text(self) -> str:
+        """The point as "(x, y)" with p/q coordinates."""
+        return f"({self.x}, {self.y})"
+
 
 ZERO_VEC = Vec2(Fraction(0), Fraction(0))
 
@@ -300,7 +304,7 @@ class Polygon:
     def vertex_text(self) -> str:
         """The vertices as "[(x, y), ...]" with p/q coordinates, so that a
         message naming the polygon can rebuild it."""
-        return "[" + ", ".join(f"({v.x}, {v.y})" for v in self.vertices) + "]"
+        return "[" + ", ".join(v.text() for v in self.vertices) + "]"
 
     @staticmethod
     def from_coords(coords: Iterable[Sequence[RationalLike]]) -> "Polygon":
@@ -453,7 +457,7 @@ def corner_frame(polygon: Polygon, index: int) -> IntMat2:
     frame = IntMat2.from_columns(d_next, d_prev)
     if frame.det() != 1:
         raise NotDelzant(
-            f"corner at {polygon.vertex(index)} has frame determinant {frame.det()}"
+            f"corner at {polygon.vertex(index).text()} has frame determinant {frame.det()}"
         )
     return frame
 

@@ -23,7 +23,6 @@ from .errors import (
     HypothesisNotMet,
 )
 from .geometry import (
-    AffineMap,
     IntMat2,
     Polygon,
     Vec2,
@@ -32,12 +31,8 @@ from .geometry import (
     canonicalize,
     moment_integral,
 )
-from .counting import (
-    _charge_budget,
-    lattice_moments,
-    segment_count,
-    segment_f_sum,
-)
+from .counting import _charge_budget, lattice_moments, segment_count
+from .chow import _weight
 from .blowup import Decomposition
 
 GROUP_CLOSURE_CAP = 10_000
@@ -46,17 +41,21 @@ FACTORIAL_N_PLUS_1 = 6  # (n+1)! in the plane
 
 
 def fo_invariant(polygon: Polygon, i: int) -> Vec2:
-    """Average of the sample points minus the barycenter, at dilation i."""
+    """Average of the sample points minus the barycenter, at dilation i:
+    the Chow weight of the coordinate function over Vol * count."""
     return _fo_from_moments(polygon, i, lattice_moments(polygon, i))
 
 
 def _fo_from_moments(polygon: Polygon, i: int, moments: tuple[int, int, int]) -> Vec2:
-    count, sx, sy = moments
+    """`chow._weight` is 6 L^3 i times the Chow weight and Vol is
+    twice_area / (2 L^2), so the invariant is the weight over
+    3 L twice_area i count."""
+    count = moments[0]
     if count == 0:
         raise HypothesisNotMet(f"no sample points at dilation {i}")
-    m = moment_integral(polygon)
-    vol = area(polygon)
-    return Vec2(Fraction(sx, i * count) - m.x / vol, Fraction(sy, i * count) - m.y / vol)
+    wx, wy = _weight(polygon, moments, i)
+    denominator = 3 * polygon.integer.scale * polygon.integer.twice_area * i * count
+    return Vec2(Fraction(wx, denominator), Fraction(wy, denominator))
 
 
 def is_centrally_symmetric(polygon: Polygon) -> bool:
@@ -75,7 +74,9 @@ class SymmetryGroup:
     def generated_by(cls, generators: list[IntMat2] | tuple[IntMat2, ...]) -> "SymmetryGroup":
         for g in generators:
             if g.det() != 1:
-                raise ValueError(f"generator {g} must have determinant one")
+                raise ValueError(
+                    f"generator [[{g.a}, {g.b}], [{g.c}, {g.d}]] must have determinant one"
+                )
         gens = [(g.a, g.b, g.c, g.d) for g in generators]
         elements = {(1, 0, 0, 1)}
         frontier = list(elements)
@@ -122,12 +123,22 @@ def c_constant(polygon: Polygon) -> Fraction:
     return Fraction(lattice_moments(polygon, 1)[0]) / area(polygon)
 
 
-def _sum_rule_scans(
-    decomposition: Decomposition,
-) -> tuple[tuple[int, int, int], Fraction, Fraction]:
-    """Check the sum rule's hypotheses and return the chopped polygon's
-    count and coordinate sums at dilation one, with c_base and c_chop.
-    Each polygon is scanned once."""
+def sum_rule_residuals(decomposition: Decomposition) -> dict[str, Fraction]:
+    """Residuals of the corner-chop sum rule for the test functions
+    1, x1, x2.
+
+    For each test function the lattice-point sum over the chopped polygon
+    is compared with one weighted sum: the integrals over the chopped
+    polygon (weight c_chop), the base (c_base - c_chop) and each cut
+    simplex (c_chop - 3!), plus the lattice-point sums over the seams. The
+    c are points-per-area constants at dilation one. The function 1 sums
+    to the point count and integrates to the area; x1 and x2 sum to the
+    coordinate sums and integrate to the moment. A seam from q to r has
+    count points, which sum to (q + r) * count / 2. Both sides are
+    enumerated or integrated directly, each polygon scanned once, and the
+    residuals of a decomposition satisfying the hypotheses (k = 1 and a
+    base whose averaged-point invariant vanishes) are zero.
+    """
     d = decomposition
     if d.k != 1:
         raise HypothesisNotMet(
@@ -136,53 +147,29 @@ def _sum_rule_scans(
     base = lattice_moments(d.base, 1)
     if _fo_from_moments(d.base, 1, base) != ZERO_VEC:
         raise HypothesisNotMet("the base polygon's averaged-point invariant must vanish")
-    chopped = lattice_moments(d.chopped, 1)
-    return chopped, Fraction(base[0]) / area(d.base), Fraction(chopped[0]) / area(d.chopped)
-
-
-def _constant_condition(d: Decomposition, c_base: Fraction, c_chop: Fraction) -> Fraction:
-    return (
-        (c_base - c_chop) * area(d.base)
-        + (c_chop - FACTORIAL_N_PLUS_1) * sum((area(s) for s in d.simplices), Fraction(0))
-        + sum(segment_count(q, r, 1) for q, r in d.seams)
-    )
-
-
-def sum_rule_residuals(decomposition: Decomposition) -> dict[str, Fraction]:
-    """Residuals of the corner-chop sum rule for the test functions
-    1, x1, x2.
-
-    For each test function the lattice-point sum over the chopped polygon
-    is compared with the combination of integrals over the chopped
-    polygon, the base, and the cut simplices (weighted by the respective
-    points-per-area constants) plus the lattice-point sums over the seams.
-    Both sides are enumerated or integrated directly; the residual of a
-    decomposition satisfying the hypotheses is zero. The function 1 sums
-    to the point count and integrates to the area; x1 and x2 sum to the
-    coordinate sums and integrate to the moment, so the residuals are one
-    count term and one vector term. Since c_chop is the count over the
-    chopped polygon's area, c_chop * area(chopped) is the count exactly,
-    and the count residual is minus `sum_rule_constant_condition`.
-    """
-    (_, sx, sy), c_base, c_chop = _sum_rule_scans(decomposition)
-    d = decomposition
-    count_residual = -_constant_condition(d, c_base, c_chop)
-    identity = AffineMap.identity()
-    sum_residual = Vec2.of(sx, sy) - (
-        moment_integral(d.chopped) * c_chop
-        + moment_integral(d.base) * (c_base - c_chop)
-        + sum((moment_integral(s) for s in d.simplices), ZERO_VEC) * (c_chop - FACTORIAL_N_PLUS_1)
-        + sum((segment_f_sum(q, r, identity, 1) for q, r in d.seams), ZERO_VEC)
-    )
-    return {"1": count_residual, "x1": sum_residual.x, "x2": sum_residual.y}
+    count, sx, sy = lattice_moments(d.chopped, 1)
+    c_base = Fraction(base[0]) / area(d.base)
+    c_chop = Fraction(count) / area(d.chopped)
+    weighted = [(d.chopped, c_chop), (d.base, c_base - c_chop)]
+    weighted += [(simplex, c_chop - FACTORIAL_N_PLUS_1) for simplex in d.simplices]
+    volume, moment = Fraction(0), ZERO_VEC
+    for polygon, weight in weighted:
+        volume += area(polygon) * weight
+        moment += moment_integral(polygon) * weight
+    for q, r in d.seams:
+        seam_count = segment_count(q, r, 1)
+        volume += seam_count
+        moment += (q + r) * Fraction(seam_count, 2)
+    return {"1": count - volume, "x1": sx - moment.x, "x2": sy - moment.y}
 
 
 def sum_rule_constant_condition(decomposition: Decomposition) -> Fraction:
     """The closed combination that the constant test function reduces the
     sum rule to: weighted areas of base and cut simplices plus the seam
-    lattice-point counts. Zero under the sum rule's hypotheses."""
-    _, c_base, c_chop = _sum_rule_scans(decomposition)
-    return _constant_condition(decomposition, c_base, c_chop)
+    lattice-point counts. Zero under the sum rule's hypotheses. Since
+    c_chop * area(chopped) is the chopped count exactly, it is minus the
+    count residual."""
+    return -sum_rule_residuals(decomposition)["1"]
 
 
 def _primitive_triple(raw: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -128,6 +128,41 @@ class TestChopCorners:
         with pytest.raises(NotDelzant):
             chop_corners(blunt, [CornerCut.of((1, 0), Fraction(1, 4))])
 
+    @pytest.mark.parametrize(
+        "cuts, error, message",
+        [
+            ([(("1/2", 5), 1)], InvalidCutVertex, "(1/2, 5) is not a vertex of the base polygon"),
+            (
+                [(("1/2", 2), Fraction(1, 4)), (("1/2", 2), Fraction(1, 8))],
+                InvalidCutVertex,
+                "vertex (1/2, 2) is cut twice",
+            ),
+            (
+                [(("1/2", 2), 1)],
+                CutThroughEdge,
+                "cut of depth 1 at (1/2, 2) reaches the edge towards (0, 3/2)",
+            ),
+            (
+                [(("1/2", 2), Fraction(1, 4)), ((0, "3/2"), Fraction(1, 4))],
+                OverlappingCuts,
+                "cuts at (1/2, 2) and (0, 3/2) intersect",
+            ),
+        ],
+    )
+    def test_rejection_names_points_as_pairs(self, octagon, cuts, error, message):
+        # points are named with p/q coordinates, as in vertex_text
+        with pytest.raises(error) as excinfo:
+            chop_corners(octagon, [CornerCut.of(v, depth) for v, depth in cuts])
+        assert str(excinfo.value) == message
+
+    def test_blunt_corner_named_as_pair(self):
+        from polychow import NotDelzant
+
+        blunt = Polygon.from_coords([(0, 0), (Fraction(1, 2), 0), (2, 2)])
+        with pytest.raises(NotDelzant) as excinfo:
+            chop_corners(blunt, [CornerCut.of(("1/2", 0), Fraction(1, 4))])
+        assert str(excinfo.value).startswith("corner at (1/2, 0) has frame determinant ")
+
     def test_rational_base_supported(self, octagon):
         # the octagon has half-integral vertices; cutting it must still work
         d = octagon_cut(octagon)
@@ -322,6 +357,26 @@ class TestBlowupIdentity:
         assert d.scaled_chopped().vertex_text() in message and f"k={d.k}" in message
         assert (error.i, error.lhs - error.rhs) == (1, Vec2.of(0, Fraction(1, 3)))
         assert error.report.entries == ((1, error.lhs, error.rhs),)
+
+    def test_enumerated_side_reads_no_closed_form(self, hexagon):
+        # a wrong point-sum constant stored on the scaled chopped polygon
+        # cannot reach the enumerated side; on the scaled base it feeds the
+        # identity side, and enumeration catches it at the first dilation
+        d = hexagon_cut(hexagon)
+        target = d.scaled_chopped()
+        object.__setattr__(target, "_sum_constant", (1, -1))
+        assert verify_blowup_theorem(d, 4).all_equal
+        assert target._sum_constant == (1, -1)
+
+        from polychow.counting import _counting_and_sum_polys
+
+        d = hexagon_cut(hexagon)
+        base = d.scaled_base()
+        cx, cy = _counting_and_sum_polys(base)
+        object.__setattr__(base, "_sum_constant", (cx + 1, cy))
+        with pytest.raises(VerificationMismatch) as excinfo:
+            verify_blowup_theorem(d, 4)
+        assert excinfo.value.i == 1
 
     def test_area_mismatch_names_polygon_and_sides(self, hexagon, monkeypatch):
         import polychow.blowup as blowup_module

@@ -359,3 +359,22 @@ class TestBudget:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert f"{argv[-2]} 100000000 scans up to" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ehrhart", "{tall}"],
+            ["chow", "{tall}", "--poly"],
+            ["ehrhart", "{tri}", "--i", str(10**23)],
+        ],
+    )
+    def test_rows_past_sys_maxsize_exit_one(
+        self, capsys, tmp_path, triangle_file, monkeypatch, argv
+    ):
+        monkeypatch.delenv("POLYCHOW_MAX_ENUM", raising=False)
+        tall = write(tmp_path, "tall.json", {"vertices": [[0, 0], [1, 0], [0, 10**20]]})
+        assert main([a.format(tall=tall, tri=triangle_file) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: EnumerationLimitExceeded: enumeration scans ")
+        assert captured.err.count("\n") == 1

@@ -108,6 +108,21 @@ class TestLatticePoints:
             lattice_points(sliver, 1)
         assert time.monotonic() - started < 0.1
 
+    @pytest.mark.parametrize("function", [lattice_moments, lattice_points])
+    @pytest.mark.parametrize(
+        "coords, i, rows",
+        [
+            ([(0, 0), (1, 0), (0, 10**20)], 1, 10**20 + 1),
+            ([(0, 0), (1, 0), (0, 1)], 10**23, 10**23 + 1),
+        ],
+    )
+    def test_rows_past_sys_maxsize_refused(self, monkeypatch, function, coords, i, rows):
+        # a range longer than sys.maxsize has no len(); the rows are still
+        # counted and refused
+        monkeypatch.delenv("POLYCHOW_MAX_ENUM", raising=False)
+        with pytest.raises(EnumerationLimitExceeded, match=f"scans {rows} rows"):
+            function(Polygon.from_coords(coords), i)
+
 
 class TestLatticeMoments:
     def test_triangle(self, cp2_triangle):

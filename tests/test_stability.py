@@ -105,6 +105,11 @@ class TestSymmetry:
         with pytest.raises(ValueError):
             SymmetryGroup.generated_by([IntMat2.from_rows((1, 0), (0, -1))])
 
+    def test_generator_named_row_major(self):
+        with pytest.raises(ValueError) as excinfo:
+            SymmetryGroup.generated_by([IntMat2.from_rows((1, 2), (0, -1))])
+        assert str(excinfo.value) == "generator [[1, 2], [0, -1]] must have determinant one"
+
     def test_infinite_group_overflows(self):
         with pytest.raises(GroupClosureOverflow):
             SymmetryGroup.generated_by([IntMat2.from_rows((1, 1), (0, 1))])
