@@ -69,13 +69,15 @@ class CornerCut:
     depth: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.vertex, Vec2):
+            object.__setattr__(self, "vertex", Vec2.of(*self.vertex))
         object.__setattr__(self, "depth", to_fraction(self.depth))
         if self.depth <= 0:
             raise InvalidCutDepth(f"cut depth must be positive, got {self.depth}")
 
     @staticmethod
     def of(vertex, depth) -> "CornerCut":
-        return CornerCut(Vec2.of(vertex[0], vertex[1]), to_fraction(depth))
+        return CornerCut(vertex, depth)
 
 
 @dataclass(frozen=True)
@@ -278,6 +280,16 @@ def _times(v: Vec2, k: int) -> tuple[int, int]:
     return v.x.numerator * (k // v.x.denominator), v.y.numerator * (k // v.y.denominator)
 
 
+def _seam(q: Vec2, r: Vec2, k: int, i: int) -> tuple[int, int, int]:
+    """(count, sum of x, sum of y) over the integer points of the i-th
+    dilation of the seam from k*q to k*r, for a k that makes both ends
+    integral. Its i*gcd(k*(r - q)) + 1 points are evenly spaced, so they
+    sum to i*count*(k*q + k*r)/2: an int, as a sum of integer points."""
+    (qx, qy), (rx, ry) = _times(q, k), _times(r, k)
+    count = i * gcd(rx - qx, ry - qy) + 1
+    return count, i * count * (qx + rx) // 2, i * count * (qy + ry) // 2
+
+
 def df_invariants(decomposition: Decomposition) -> tuple[Vec2, Vec2]:
     """The two correction invariants of the blow-up identity.
 
@@ -368,8 +380,8 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     The right side is the Chow weight of the scaled chopped polygon
     computed from its own lattice points; nothing is shared with the
     closed-form route. The polygon is a lattice polygon (scale 1), so the
-    weight is `chow._weight` of its integer form and of the (count, sum of
-    x, sum of y) of the i-th dilation, over 6i.
+    weight is `chow._weight` of its integer measures and of the (count,
+    sum of x, sum of y) of the i-th dilation, over 6i.
     The identity side, `chow_after_blowup` with c2 included, is brought
     over one denominator per coordinate once, so at each i both sides are
     integer numerators compared by cross-multiplying, and one Fraction per
@@ -382,6 +394,8 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     d = decomposition
     identity_side = chow_after_blowup(d)
     target = d.scaled_chopped()
+    form = target.integer
+    vol6 = 3 * form.twice_area  # scale 1
     # the identity side per coordinate: c2, c1 and c0 over one denominator
     (x2, x1, x0), qx = _over_common_denominator(
         identity_side.c2.x, identity_side.c1.x, identity_side.c0.x
@@ -393,7 +407,7 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     for i in range(1, i_max + 1):
         # the identity side over qx and qy, the enumerated side over 6i
         lx, ly = (x2 * i + x1) * i + x0, (y2 * i + y1) * i + y0
-        ex, ey = _weight(target, lattice_moments(target, i), i)
+        ex, ey = _weight(vol6, form.moment, lattice_moments(target, i), i)
         rhs = Vec2(Fraction(ex, 6 * i), Fraction(ey, 6 * i))
         if lx * 6 * i == ex * qx and ly * 6 * i == ey * qy:
             entries.append((i, rhs, rhs))
@@ -430,17 +444,17 @@ def verify_general_identity(decomposition: Decomposition, f: AffineMap, i: int) 
     (Vol_b - Vol_p) + Vol_p*E_b + (Vol_b - Vol_p)*(E_p - E_seams) = 0 for
     any enumerated values: only the linear part of f is left. With the
     rest r = b minus the simplices plus the seams (Vol_r = Vol_b - Vol_p,
-    moment M_r/6 = (M_b - M_p)/6, count E_b - E_p + E_seams, raw sums
-    S_b - S_p + S_seams over the dilation), the residual is f_linear(V/(12i))
-    for the integer vector
+    moment M_r = M_b - M_p, count E_b - E_p + E_seams, raw sums
+    S_b - S_p + S_seams over the dilation), the residual is
+    f_linear((W_r - W_c)/(6i)), where W_X is `chow._weight` of X: 6i
+    times the Chow weight of r minus that of the scaled chopped polygon c.
+    Every polygon here is a lattice polygon, so each W_X is an int pair.
 
-        V = 6*a2_r*S_r - 2i*E_r*M_r - (6*a2_c*S_c - 2i*E_c*M_c)
-
-    where c is the scaled chopped polygon and a2 twice an area: 12i times
-    the Chow weight of r minus that of c. The term of c is twice
-    `chow._weight` of the lattice polygon c. One kernel call per polygon
-    gives each count and raw sum; a seam from q to r has i*gcd(r - q) + 1
-    points, which sum to i*count*(q + r)/2 over the dilation.
+    One kernel call per polygon gives each count and raw sum. A cut
+    simplex of scale L (which divides k) is scanned at dilation k*i, the
+    same rows as k*simplex at i, and its measures are scaled by powers of
+    k/L, so no polygon is built. `_seam` gives each seam's count and raw
+    sum: its points are integer points, so the sums are ints.
     """
     d = decomposition
     k = d.k
@@ -448,23 +462,19 @@ def verify_general_identity(decomposition: Decomposition, f: AffineMap, i: int) 
     count, sx, sy = lattice_moments(scaled_base, i)
     a2 = scaled_base.integer.twice_area
     mx, my = scaled_base.integer.moment
-    # twice the raw seam sums over the dilation, kept apart to stay integral
-    seam_x2 = seam_y2 = 0
     for simplex, (q, r) in zip(d.simplices, d.seams):
-        part = scale(simplex, k)
-        part_count, part_x, part_y = lattice_moments(part, i)
-        (qx, qy), (rx, ry) = _times(q, k), _times(r, k)
-        seam_count = i * gcd(rx - qx, ry - qy) + 1
-        count -= part_count - seam_count
-        sx -= part_x
-        sy -= part_y
-        seam_x2 += i * seam_count * (qx + rx)
-        seam_y2 += i * seam_count * (qy + ry)
-        a2 -= part.integer.twice_area
-        mx -= part.integer.moment[0]
-        my -= part.integer.moment[1]
+        part = simplex.integer
+        up = k // part.scale
+        part_count, part_x, part_y = lattice_moments(simplex, k * i)
+        seam_count, seam_x, seam_y = _seam(q, r, k, i)
+        count += seam_count - part_count
+        sx += seam_x - part_x
+        sy += seam_y - part_y
+        a2 -= part.twice_area * up**2
+        mx -= part.moment[0] * up**3
+        my -= part.moment[1] * up**3
+    wx, wy = _weight(3 * a2, (mx, my), (count, sx, sy), i)
     target = d.scaled_chopped()
-    wx, wy = _weight(target, lattice_moments(target, i), i)
-    vx = 6 * a2 * sx + 3 * a2 * seam_x2 - 2 * i * count * mx - 2 * wx
-    vy = 6 * a2 * sy + 3 * a2 * seam_y2 - 2 * i * count * my - 2 * wy
-    return f.linear_apply(Vec2(Fraction(vx, 12 * i), Fraction(vy, 12 * i)))
+    form = target.integer
+    cx, cy = _weight(3 * form.twice_area, form.moment, lattice_moments(target, i), i)
+    return f.linear_apply(Vec2(Fraction(wx - cx, 6 * i), Fraction(wy - cy, 6 * i)))

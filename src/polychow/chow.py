@@ -29,20 +29,20 @@ from .geometry import (
 from .counting import VecPoly, _counting_and_sum_polys, lattice_moments
 
 
-def _weight(polygon: Polygon, moments: tuple[int, int, int], i: int) -> tuple[int, int]:
+def _weight(
+    vol6: int, moment: tuple[int, int], moments: tuple[int, int, int], i: int
+) -> tuple[int, int]:
     """6 L^3 i times the Chow weight of the coordinate function at dilation
-    i, as an int pair, from the enumerated (count, sum of x, sum of y) of
-    the i-th dilation and the polygon's integer form.
+    i, as an int pair, from a polygon's integer measures at scale L and the
+    enumerated (count, sum of x, sum of y) of its i-th dilation.
 
-    The weight is Vol * (sum of the sample points) - count * moment. With
-    scale L, Vol is twice_area / (2 L^2), the moment is moment / (6 L^3)
-    and the sample points sum to (sum of x, sum of y) / i. Only enumerated
-    values and the integer form enter: no closed-form polynomial data.
+    The weight is Vol * (sum of the sample points) - count * integral.
+    `vol6` is 3 L twice_area = 6 L^3 Vol and `moment` is 6 L^3 times the
+    integral of the coordinate vector, the integer form's `moment`; the
+    sample points sum to (sum of x, sum of y) / i. Only enumerated values
+    and integer measures enter: no closed-form polynomial data.
     """
-    count, sx, sy = moments
-    form = polygon.integer
-    vol6 = 3 * form.scale * form.twice_area  # 6 L^3 * Vol
-    mx, my = form.moment
+    (count, sx, sy), (mx, my) = moments, moment
     return vol6 * sx - i * count * mx, vol6 * sy - i * count * my
 
 
@@ -52,8 +52,10 @@ def chow_eval(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
     The constant part of f cancels between the two terms, so the weight is
     f_linear of the coordinate weight, `_weight` over 6 L^3 i.
     """
-    wx, wy = _weight(polygon, lattice_moments(polygon, i), i)
-    denominator = 6 * polygon.integer.scale**3 * i
+    form = polygon.integer
+    vol6 = 3 * form.scale * form.twice_area
+    wx, wy = _weight(vol6, form.moment, lattice_moments(polygon, i), i)
+    denominator = 6 * form.scale**3 * i
     return f.linear_apply(Vec2(Fraction(wx, denominator), Fraction(wy, denominator)))
 
 

@@ -26,7 +26,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import EnumerationLimitExceeded, InternalInconsistency, NotLatticePolygon
 from .geometry import (
@@ -93,9 +92,6 @@ class VecPoly:
 
     def __call__(self, i: int) -> Vec2:
         return (self.c2 * i + self.c1) * i + self.c0
-
-    def __add__(self, other: "VecPoly") -> "VecPoly":
-        return VecPoly(self.c2 + other.c2, self.c1 + other.c1, self.c0 + other.c0)
 
     def is_zero(self) -> bool:
         return self.c2 == ZERO_VEC and self.c1 == ZERO_VEC and self.c0 == ZERO_VEC
@@ -306,26 +302,3 @@ def p_delta(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
     f_linear(sum of points) + count * offset."""
     count, sx, sy = lattice_moments(polygon, i)
     return f.linear_apply(Vec2(Fraction(sx, i), Fraction(sy, i))) + f.offset * count
-
-
-def _require_integral(*points: Vec2) -> None:
-    for v in points:
-        if v.x.denominator != 1 or v.y.denominator != 1:
-            raise ValueError("segment endpoints must be integral")
-
-
-def segment_count(p: Vec2, q: Vec2, i: int) -> int:
-    """Number of sample points of the i-th subdivision on the segment: the
-    lattice length of i*(q - p) plus one."""
-    p, q = p * i, q * i
-    _require_integral(p, q)
-    return gcd(int(q.x - p.x), int(q.y - p.y)) + 1
-
-
-def segment_f_sum(p: Vec2, q: Vec2, f: AffineMap, i: int) -> Vec2:
-    """Sum of f over the sample points of the i-th subdivision of a segment.
-
-    The points are evenly spaced, so they sum to count * (p + q) / 2.
-    """
-    count = segment_count(p, q, i)
-    return f.linear_apply((p + q) * Fraction(count, 2)) + f.offset * count

@@ -31,9 +31,9 @@ from .geometry import (
     canonicalize,
     moment_integral,
 )
-from .counting import _charge_budget, lattice_moments, segment_count
+from .counting import _charge_budget, lattice_moments
 from .chow import _weight
-from .blowup import Decomposition
+from .blowup import Decomposition, _seam
 
 GROUP_CLOSURE_CAP = 10_000
 
@@ -47,14 +47,15 @@ def fo_invariant(polygon: Polygon, i: int) -> Vec2:
 
 
 def _fo_from_moments(polygon: Polygon, i: int, moments: tuple[int, int, int]) -> Vec2:
-    """`chow._weight` is 6 L^3 i times the Chow weight and Vol is
-    twice_area / (2 L^2), so the invariant is the weight over
-    3 L twice_area i count."""
+    """`chow._weight` is 6 L^3 i times the Chow weight and its vol6 is
+    6 L^3 Vol, so the invariant is the weight over vol6 i count."""
     count = moments[0]
     if count == 0:
         raise HypothesisNotMet(f"no sample points at dilation {i}")
-    wx, wy = _weight(polygon, moments, i)
-    denominator = 3 * polygon.integer.scale * polygon.integer.twice_area * i * count
+    form = polygon.integer
+    vol6 = 3 * form.scale * form.twice_area
+    wx, wy = _weight(vol6, form.moment, moments, i)
+    denominator = vol6 * i * count
     return Vec2(Fraction(wx, denominator), Fraction(wy, denominator))
 
 
@@ -127,17 +128,17 @@ def sum_rule_residuals(decomposition: Decomposition) -> dict[str, Fraction]:
     """Residuals of the corner-chop sum rule for the test functions
     1, x1, x2.
 
-    For each test function the lattice-point sum over the chopped polygon
-    is compared with one weighted sum: the integrals over the chopped
-    polygon (weight c_chop), the base (c_base - c_chop) and each cut
-    simplex (c_chop - 3!), plus the lattice-point sums over the seams. The
-    c are points-per-area constants at dilation one. The function 1 sums
-    to the point count and integrates to the area; x1 and x2 sum to the
-    coordinate sums and integrate to the moment. A seam from q to r has
-    count points, which sum to (q + r) * count / 2. Both sides are
-    enumerated or integrated directly, each polygon scanned once, and the
-    residuals of a decomposition satisfying the hypotheses (k = 1 and a
-    base whose averaged-point invariant vanishes) are zero.
+    For each test function the lattice-point sum over the chopped polygon,
+    less the lattice-point sums over the seams, is compared with one
+    weighted sum of integrals: over the chopped polygon (weight c_chop),
+    the base (c_base - c_chop) and each cut simplex (c_chop - 3!). The c
+    are points-per-area constants at dilation one. The function 1 sums to
+    the point count and integrates to the area; x1 and x2 sum to the
+    coordinate sums and integrate to the moment. `blowup._seam` gives each
+    seam's count and sums as ints. Both sides are enumerated or integrated
+    directly, each polygon scanned once, and the residuals of a
+    decomposition satisfying the hypotheses (k = 1 and a base whose
+    averaged-point invariant vanishes) are zero.
     """
     d = decomposition
     if d.k != 1:
@@ -157,9 +158,8 @@ def sum_rule_residuals(decomposition: Decomposition) -> dict[str, Fraction]:
         volume += area(polygon) * weight
         moment += moment_integral(polygon) * weight
     for q, r in d.seams:
-        seam_count = segment_count(q, r, 1)
-        volume += seam_count
-        moment += (q + r) * Fraction(seam_count, 2)
+        seam_count, seam_x, seam_y = _seam(q, r, 1, 1)
+        count, sx, sy = count - seam_count, sx - seam_x, sy - seam_y
     return {"1": count - volume, "x1": sx - moment.x, "x2": sy - moment.y}
 
 

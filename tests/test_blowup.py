@@ -34,7 +34,6 @@ from polychow import (
     verify_blowup_theorem,
     verify_general_identity,
 )
-from polychow.counting import segment_count
 
 ID = AffineMap.identity()
 ZERO = Vec2.of(0, 0)
@@ -97,6 +96,20 @@ class TestChopCorners:
     def test_unknown_vertex_rejected(self, hexagon):
         with pytest.raises(InvalidCutVertex):
             chop_corners(hexagon, [CornerCut.of((5, 5), 1)])
+
+    def test_cut_built_from_plain_pair(self, cp2_triangle, hexagon):
+        # the vertex is coerced like the depth: a pair works as a vertex,
+        # names a point that is not one, and refuses inexact coordinates
+        cut = CornerCut((0, 0), 1)
+        assert cut == CornerCut.of((0, 0), 1)
+        assert chop_corners(cp2_triangle, [cut]) == chop_corners(
+            cp2_triangle, [CornerCut.of((0, 0), 1)]
+        )
+        with pytest.raises(InvalidCutVertex, match=r"^\(5, 5\) is not a vertex"):
+            chop_corners(hexagon, [CornerCut((5, 5), 1)])
+        for vertex in [(0.0, 0), (0, True)]:
+            with pytest.raises(TypeError):
+                CornerCut(vertex, 1)
 
     def test_duplicate_vertex_rejected(self, hexagon):
         cuts = [CornerCut.of((0, 2), HALF), CornerCut.of((0, 2), Fraction(1, 4))]
@@ -474,6 +487,20 @@ class TestGeneralIdentity:
         assert len(set(scans)) == 3
 
 
+    def test_no_polygon_built_per_call(self, hexagon, monkeypatch):
+        # the cut simplices are scanned at dilation k*i, not rebuilt as
+        # k*simplex: no integer form is made once the decomposition exists
+        import polychow.geometry as geometry
+
+        d = hexagon_cut(hexagon)
+        assert d.k == 2
+
+        def refuse(*args):
+            raise AssertionError("a polygon was built")
+
+        monkeypatch.setattr(geometry, "_integer_form", refuse)
+        assert verify_general_identity(d, ID, 2) == ZERO
+
     @pytest.mark.parametrize("call", [0, 1, 2], ids=["base", "simplex", "chopped"])
     def test_shifted_count_leaves_residual(self, hexagon, monkeypatch, call):
         # the offset part of f cancels whatever the enumerated values are,
@@ -507,24 +534,31 @@ class TestGeneralIdentity:
 class TestAdditivity:
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
     def test_count_and_sum_additivity(self, cp2_triangle, hexagon, i):
-        from polychow.counting import segment_f_sum
-
         two_cut = chop_corners(
             hexagon, [CornerCut.of((0, 2), HALF), CornerCut.of((2, 0), HALF)]
         )
         for d in (triple_cut(cp2_triangle), two_cut):
             k = d.k
+            # the integer points of each seam of the k*i-th dilation
+            seams = [
+                brute.segment_lattice_points(
+                    (int(q.x * k * i), int(q.y * k * i)), (int(r.x * k * i), int(r.y * k * i))
+                )
+                for q, r in d.seams
+            ]
             base_count = ehrhart_eval(scale(d.base, k), i)
             chopped_count = ehrhart_eval(scale(d.chopped, k), i)
             part_count = sum(
-                ehrhart_eval(scale(s, k), i) - segment_count(q * k, r * k, i)
-                for s, (q, r) in zip(d.simplices, d.seams)
+                ehrhart_eval(scale(s, k), i) - len(seam)
+                for s, seam in zip(d.simplices, seams)
             )
             assert base_count == chopped_count + part_count
 
             base_sum = sum_points(scale(d.base, k), i)
             total = sum_points(scale(d.chopped, k), i)
-            for s, (q, r) in zip(d.simplices, d.seams):
+            for s, seam in zip(d.simplices, seams):
                 total = total + sum_points(scale(s, k), i)
-                total = total - segment_f_sum(q * k, r * k, ID, i)
+                total = total - Vec2(
+                    Fraction(sum(x for x, _ in seam), i), Fraction(sum(y for _, y in seam), i)
+                )
             assert base_sum == total

@@ -33,7 +33,7 @@ from polychow import (
     sum_poly,
     translate,
 )
-from polychow.counting import segment_count, segment_f_sum
+from polychow.blowup import _seam
 
 
 def coords_of(polygon):
@@ -373,24 +373,13 @@ class TestSegments:
     def test_degenerate_segment(self):
         assert brute.segment_lattice_points((3, 5), (3, 5)) == [(3, 5)]
 
-    def test_segment_count_scaling(self):
-        p, q = Vec2.of(1, 0), Vec2.of(0, 1)
-        assert segment_count(p, q, 1) == 2
-        assert segment_count(p, q, 3) == 4
-
-    def test_segment_sum_matches_direct(self):
-        p, q = Vec2.of(0, 2), Vec2.of(4, 0)
-        f = AffineMap.identity()
-        total = segment_f_sum(p, q, f, 2)
-        pts = brute.segment_lattice_points((0, 4), (8, 0))
-        expected_x = Fraction(sum(x for x, _ in pts), 2)
-        expected_y = Fraction(sum(y for _, y in pts), 2)
-        assert total == Vec2(expected_x, expected_y)
-
-    def test_rational_endpoints_rejected(self):
-        p, q = Vec2.of(Fraction(1, 2), 0), Vec2.of(1, 0)
-        with pytest.raises(ValueError, match="integral"):
-            segment_count(p, q, 1)
-        with pytest.raises(ValueError, match="integral"):
-            segment_f_sum(p, q, AffineMap.identity(), 1)
-        assert segment_count(p, q, 2) == 2  # the check is on the dilated endpoints
+    @pytest.mark.parametrize("k, i", [(2, 1), (2, 3), (4, 1), (4, 5), (6, 2)])
+    def test_seam_matches_enumeration(self, k, i):
+        # a rational seam from (1/2, 3/2) to (5/2, 1/2): k*i times it has
+        # integer ends for every even k
+        q, r = Vec2.of("1/2", "3/2"), Vec2.of("5/2", "1/2")
+        ends = [(int(v.x * k * i), int(v.y * k * i)) for v in (q, r)]
+        pts = brute.segment_lattice_points(*ends)
+        assert _seam(q, r, k, i) == (
+            len(pts), sum(x for x, _ in pts), sum(y for _, y in pts)
+        )

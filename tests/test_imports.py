@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-module-level private function is used somewhere in the library.
+"""Every name a library module imports is used in that module, every
+module-level private function is used somewhere in the library, and every
+module-level public function is exported or used somewhere in the library.
 
 `__init__.py` is left out of the import check: its imports are the
 package's public names. Names in quoted annotations count as uses.
@@ -11,6 +12,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import polychow
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polychow"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -52,16 +55,18 @@ def test_no_unused_imports(module):
     assert sorted(_imported_names(tree) - _used_names(tree)) == []
 
 
-def _private_functions_and_uses() -> tuple[set[str], set[str]]:
-    """Module-level `def _name`s of the package, and the names it uses
-    outside the body of the function of the same name, so that a helper
-    that only calls itself counts as unused."""
+def _functions_and_uses() -> tuple[set[str], set[str]]:
+    """Module-level function names of the library modules (dunders left
+    out), and the names they use outside the body of the function of the
+    same name, so that a function that only calls itself counts as unused.
+    `__init__.py`, whose imports only re-export, is left out."""
     defined: set[str] = set()
     used: set[str] = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.parse(path.read_text(), filename=path.name).body:
+    for module in MODULES:
+        path = PACKAGE / module
+        for node in ast.parse(path.read_text(), filename=module).body:
             owner = None
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef):
                 if not node.name.startswith("__"):
                     defined.add(node.name)
                 owner = node.name
@@ -80,6 +85,14 @@ def _private_functions_and_uses() -> tuple[set[str], set[str]]:
 
 
 def test_no_dead_private_functions():
-    defined, used = _private_functions_and_uses()
-    assert "_charge_rows" in defined
-    assert sorted(defined - used) == []
+    defined, used = _functions_and_uses()
+    private = {name for name in defined if name.startswith("_")}
+    assert "_charge_rows" in private
+    assert sorted(private - used) == []
+
+
+def test_no_dead_public_functions():
+    defined, used = _functions_and_uses()
+    public = {name for name in defined if not name.startswith("_")}
+    assert {"chop_corners", "main"} <= public
+    assert sorted(public - set(polychow.__all__) - used) == []
