@@ -3,10 +3,12 @@
 `tests/golden/library_repr.json` maps each subject (a catalog polygon, a
 corpus decomposition or a group of sum-rule decompositions) to the `repr`
 of what the library returns for it: for the polygons of `CATALOG`,
-`ehrhart_poly`, `sum_poly`, `chow_poly`, `c_constant`, and
+`ehrhart_poly`, `sum_poly`, `chow_poly`, `c_constant`,
 `lattice_points`, `fo_invariant` and `chow_eval` (for one fixed affine f)
-at i = 1, 2, 3; for `decomposition_corpus(max_count=40)`,
-`df_invariants`, `chow_after_blowup`, the entries of
+at i = 1, 2, 3, the polygon scaled by 2 and the polygon canonicalized
+from its vertices in reverse order; for `decomposition_corpus(max_count=40)`,
+the base, the chopped polygon, the cut simplices, the seams, both scaled
+polygons, `df_invariants`, `chow_after_blowup`, the entries of
 `verify_blowup_theorem(d, 6)`, `verify_general_identity` at i = 1, 2, 3
 for the same f, `lattice_points` of the (rational) chopped polygon at
 i = 1, 2, 3, and both sum-rule functions; and for every balanced base of
@@ -38,6 +40,7 @@ from polychow import (
     PolychowError,
     Vec2,
     c_constant,
+    canonicalize,
     chop_corners,
     chow_after_blowup,
     chow_eval,
@@ -80,6 +83,8 @@ def _polygon_outputs(polygon) -> dict[str, str]:
         out[f"lattice_points {i}"] = repr(lattice_points(polygon, i))
         out[f"fo_invariant {i}"] = _outcome(fo_invariant, polygon, i)
         out[f"chow_eval {i}"] = repr(chow_eval(polygon, F, i))
+    out["scale 2"] = repr(scale(polygon, 2))
+    out["canonicalize reversed"] = repr(canonicalize(reversed(polygon.vertices)))
     return out
 
 
@@ -92,6 +97,12 @@ def _sum_rule_outputs(d) -> dict[str, str]:
 
 def _decomposition_outputs(d) -> dict[str, str]:
     out = {
+        "base": repr(d.base),
+        "chopped": repr(d.chopped),
+        "simplices": repr(d.simplices),
+        "seams": repr(d.seams),
+        "scaled_base": repr(d.scaled_base()),
+        "scaled_chopped": repr(d.scaled_chopped()),
         "df_invariants": repr(df_invariants(d)),
         "chow_after_blowup": repr(chow_after_blowup(d)),
         "verify_blowup_theorem 6": repr(verify_blowup_theorem(d, 6).entries),
