@@ -141,7 +141,7 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
 
     The seam points, the cut simplices, the hull walk of the chopped
     polygon and the scaled polygons are computed on integer vertices at
-    one common scale; each vertex becomes a Fraction once.
+    one common scale; only the seams are returned as Fraction points.
     """
     cuts = tuple(cuts)
     indices: list[int] = []

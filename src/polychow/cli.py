@@ -350,14 +350,16 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     try:
         body, exit_code = _COMMANDS[args.command](args)
+        report.update(body)
+        # rendering can fail too: an int past the interpreter's digit limit
+        text = render_report(report, as_json=args.json)
     except PolychowError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report.update(body)
-    sys.stdout.write(render_report(report, as_json=args.json))
+    sys.stdout.write(text)
     elapsed_ms = (time.monotonic() - started) * 1000.0
     print(f"# duration: {elapsed_ms:.1f} ms", file=sys.stderr)
     return exit_code

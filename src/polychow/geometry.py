@@ -1,9 +1,12 @@
 """Exact rational plane geometry.
 
-Everything is built on `fractions.Fraction`; floating point is rejected at
-every coercion point. Polygons are immutable values in a canonical form
-(strictly convex, counter-clockwise, first vertex lexicographically
-smallest), so equality, hashing and golden-file comparisons are structural.
+A polygon is stored as its integer form: the least scale that makes every
+vertex an integer pair, and those pairs. `fractions.Fraction`s appear at
+the edges: in `Vec2` points, in the vertices built on demand and in the
+measures returned. Floating point is rejected at every coercion point.
+Polygons are immutable values in a canonical form (strictly convex,
+counter-clockwise, first vertex lexicographically smallest), so equality,
+hashing and golden-file comparisons are structural.
 
 The boundary measure used throughout is the lattice-normalized one: each
 edge is weighted by its lattice length (the number of primitive lattice
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -263,43 +267,54 @@ def _integer_form(scale: int, pts: tuple[tuple[int, int], ...]) -> IntegerForm:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Polygon:
     """Strictly convex polygon in canonical form.
 
     Invariants enforced on construction: at least three vertices, no three
     consecutive vertices collinear, counter-clockwise orientation, first
     vertex lexicographically smallest. Use `canonicalize` to build one from
-    arbitrary points. `integer` is the polygon's integer form, built once
-    by those checks; the measures below and the enumeration kernel read it.
-    `_sum_constant` is 12 times the point-sum constant, stored once the
-    gate of `counting._counting_and_sum_polys` has passed on this object.
+    arbitrary points. A polygon stores only its integer form `integer`,
+    which gives its equality. The `Fraction` vertices are built from it on
+    first access; the hash is the hash of the vertex tuple. `_sum_constant`
+    is 12 times the point-sum constant, stored once the gate of
+    `counting._counting_and_sum_polys` has passed on this object.
     """
 
-    vertices: tuple[Vec2, ...]
-    integer: IntegerForm = field(init=False, repr=False, compare=False)
-    _sum_constant: tuple[int, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    integer: IntegerForm = field(init=False)
+    _sum_constant: tuple[int, int] | None = field(default=None, init=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "integer", _integer_form(*_scaled_to_integers(self.vertices)))
+    def __init__(self, vertices: Iterable[Vec2]):
+        object.__setattr__(self, "integer", _integer_form(*_scaled_to_integers(tuple(vertices))))
+
+    @cached_property
+    def vertices(self) -> tuple[Vec2, ...]:
+        scale = self.integer.scale
+        return tuple(Vec2(Fraction(x, scale), Fraction(y, scale)) for x, y in self.integer.vertices)
+
+    def __repr__(self) -> str:
+        return f"Polygon(vertices={self.vertices!r})"
+
+    def __hash__(self) -> int:
+        return hash((self.vertices,))
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.integer.vertices)
 
     def vertex(self, i: int) -> Vec2:
-        return self.vertices[i % len(self.vertices)]
+        return self.vertices[i % len(self)]
 
     def index_of(self, v: Vec2) -> int | None:
-        try:
-            return self.vertices.index(v)
-        except ValueError:
+        """Position of v in the vertex cycle, compared at the polygon's scale."""
+        form = self.integer
+        x, x_rest = divmod(v.x.numerator * form.scale, v.x.denominator)
+        y, y_rest = divmod(v.y.numerator * form.scale, v.y.denominator)
+        if x_rest or y_rest or (x, y) not in form.vertices:
             return None
+        return form.vertices.index((x, y))
 
     def edges(self) -> list[tuple[Vec2, Vec2]]:
-        n = len(self.vertices)
-        return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
+        return list(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
 
     def vertex_text(self) -> str:
         """The vertices as "[(x, y), ...]" with p/q coordinates, so that a
@@ -311,23 +326,15 @@ class Polygon:
         return canonicalize([Vec2.of(c[0], c[1]) for c in coords])
 
 
-def _polygon(vertices: Sequence[Vec2], scale: int, pts: Sequence[tuple[int, int]]) -> Polygon:
-    """The polygon with the canonical vertex cycle `vertices`, which are
-    the integer pairs pts divided by scale. Its integer form is read off
-    the pairs brought to the least scale, with the constructor's checks."""
+def _from_integers(scale: int, pts: Sequence[tuple[int, int]]) -> Polygon:
+    """The polygon with the canonical vertex cycle pts / scale, its integer
+    form brought to the least scale and checked as by the constructor."""
     common = gcd(scale, *(c for p in pts for c in p))
     polygon = object.__new__(Polygon)
-    object.__setattr__(polygon, "vertices", tuple(vertices))
     object.__setattr__(polygon, "integer", _integer_form(
         scale // common, tuple((x // common, y // common) for x, y in pts)
     ))
     return polygon
-
-
-def _from_integers(scale: int, pts: Sequence[tuple[int, int]]) -> Polygon:
-    """The polygon with the canonical vertex cycle pts / scale, built from
-    the integer pairs with one Fraction per coordinate."""
-    return _polygon([Vec2(Fraction(x, scale), Fraction(y, scale)) for x, y in pts], scale, pts)
 
 
 def _hull(pts: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -367,9 +374,7 @@ def canonicalize(points: Iterable[Vec2]) -> Polygon:
     # the hull is taken on the points scaled to integers; distinct points
     # have distinct integer pairs
     scale, pts = _scaled_to_integers(unique)
-    hull = _hull(pts)
-    vertex_of = dict(zip(pts, unique))
-    return _polygon([vertex_of[p] for p in hull], scale, hull)
+    return _from_integers(scale, _hull(pts))
 
 
 def area(polygon: Polygon) -> Fraction:
@@ -382,18 +387,15 @@ def moment_integral(polygon: Polygon) -> Vec2:
     """Integral of the coordinate vector over the polygon, exact for a
     linear integrand: sum over the edges p -> q of (p + q) * (p x q) / 6."""
     form = polygon.integer
-    denominator = 6 * form.scale**3
-    return Vec2(Fraction(form.moment[0], denominator), Fraction(form.moment[1], denominator))
+    return Vec2(*(Fraction(c, 6 * form.scale**3) for c in form.moment))
 
 
 def primitive_direction(d: Vec2) -> tuple[int, int]:
     """Primitive integer vector parallel to d (same orientation)."""
     if d.x == 0 and d.y == 0:
         raise ValueError("zero vector has no direction")
-    scale = lcm(d.x.denominator, d.y.denominator)
-    mx = int(d.x * scale)
-    my = int(d.y * scale)
-    g = gcd(abs(mx), abs(my))
+    _, ((mx, my),) = _scaled_to_integers([d])
+    g = gcd(mx, my)
     return (mx // g, my // g)
 
 
@@ -409,11 +411,7 @@ def boundary_moment(polygon: Polygon) -> Vec2:
     lattice-normalized measure: each edge contributes its lattice length
     times its midpoint (exact for a linear integrand)."""
     form = polygon.integer
-    denominator = 2 * form.scale**2
-    return Vec2(
-        Fraction(form.boundary_moment[0], denominator),
-        Fraction(form.boundary_moment[1], denominator),
-    )
+    return Vec2(*(Fraction(c, 2 * form.scale**2) for c in form.boundary_moment))
 
 
 def boundary_lattice_length(polygon: Polygon) -> Fraction:

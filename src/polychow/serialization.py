@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,12 +21,24 @@ from .counting import ScalarPoly, VecPoly
 from .stability import PointConfiguration, SymmetryGroup
 
 
+# The largest exponent magnitude accepted in exponent notation ("3e-2"):
+# the 4300-digit limit that CPython applies to an integer written out in
+# full. Fraction("1e10000000") would spend seconds building 10**10000000.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"{where}: expected an exact rational string, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        # lengths first: int() of a long digit string is slow, or refused
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ParseError(f"{where}: exponent beyond {MAX_EXPONENT}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

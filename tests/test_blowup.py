@@ -11,7 +11,6 @@ from polychow import (
     AffineMap,
     CornerCut,
     CutThroughEdge,
-    IntMat2,
     InternalInconsistency,
     InvalidCutDepth,
     InvalidCutVertex,

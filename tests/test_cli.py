@@ -332,6 +332,36 @@ class TestArguments:
         assert "usage:" in capsys.readouterr().out
 
 
+class TestLongNumbers:
+    @pytest.mark.parametrize(
+        "corner, argv",
+        [
+            ("9" * 4290, ["--i", "1000000"]),
+            ("1e4300", []),
+            ("1e4400", []),
+        ],
+        ids=["4290 nines", "1e4300", "1e4400"],
+    )
+    def test_result_past_the_digit_limit_exit_one(self, capsys, tmp_path, corner, argv):
+        # a count past 4300 digits cannot be printed; an exponent past 4300
+        # is refused when the file is read
+        path = write(tmp_path, "wide.json", {"vertices": [["0", "0"], [corner, "0"], ["0", "1"]]})
+        assert main(["ehrhart", path, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("depth", ["1e30000000", "1e-30000000"])
+    def test_long_cut_depth_exponent_refused_at_once(self, capsys, hexagon_file, tmp_path, depth):
+        cuts = write(tmp_path, "deep.json", {"cuts": [{"vertex": ["0", "2"], "depth": depth}]})
+        started = time.monotonic()
+        assert main(["blowup", hexagon_file, "--cuts", cuts]) == 1
+        assert time.monotonic() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError: ") and "depth" in captured.err
+
+
 class TestBudget:
     def test_enumeration_cap_exit_one(self, capsys, triangle_file, monkeypatch):
         monkeypatch.setenv("POLYCHOW_MAX_ENUM", "3")

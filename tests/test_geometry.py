@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import brute
 from conftest import quadrilateral
 from polychow import (
     AffineMap,
+    CornerCut,
     DegeneratePolytope,
     IntMat2,
     NotDelzant,
@@ -18,15 +20,19 @@ from polychow import (
     boundary_lattice_length,
     boundary_moment,
     canonicalize,
+    chop_corners,
+    chow_after_blowup,
     corner_frame,
     denominator_lcm,
+    df_invariants,
     is_delzant,
     is_lattice,
     lattice_length,
     moment_integral,
     primitive_direction,
     scale,
-    translate,
+    verify_blowup_theorem,
+    verify_general_identity,
 )
 
 
@@ -179,6 +185,48 @@ class TestCornerFrames:
         idx = p.index_of(Vec2.of(1, 0))
         with pytest.raises(NotDelzant):
             corner_frame(p, idx)
+
+
+class TestStoredForm:
+    """A polygon stores its integer form only; its Fraction vertices are
+    built on the first read."""
+
+    def test_vertices_are_not_a_field(self):
+        assert "vertices" not in [f.name for f in dataclasses.fields(Polygon)]
+
+    def test_equal_vertex_cycles_equal_and_hash_alike(self):
+        coords = [(0, 0), (2, 0), (2, 1), (0, 1)]
+        built = [
+            Polygon(tuple(vecs(coords))),
+            Polygon.from_coords(coords),
+            # an interior point of a finer scale is dropped with its scale
+            canonicalize(vecs([*coords, (Fraction(1, 3), Fraction(1, 7))])),
+            scale(Polygon.from_coords([(0, 0), (1, 0), (1, Fraction(1, 2)), (0, Fraction(1, 2))]), 2),
+        ]
+        assert all(p == built[0] and hash(p) == hash(built[0]) for p in built)
+        assert {p.integer.scale for p in built} == {1}
+        assert built[0] != scale(built[0], 2)
+
+    def test_blowup_pipeline_builds_no_vertices(self, hexagon):
+        d = chop_corners(hexagon, [CornerCut.of((0, 2), Fraction(1, 2)),
+                                   CornerCut.of((2, 0), Fraction(1, 2))])
+        df_invariants(d)
+        chow_after_blowup(d)
+        assert verify_blowup_theorem(d, 4).all_equal
+        assert verify_general_identity(d, AffineMap.linear(1, 2, 0, 1), 2) == Vec2.of(0, 0)
+        polygons = [d.chopped, *d.simplices, d.scaled_base(), d.scaled_chopped()]
+        assert not any("vertices" in vars(p) for p in polygons)
+        expected = [
+            [("0", "1"), ("1", "0"), ("3/2", "0"), ("2", "1/2"), ("2", "1"), ("1", "2"),
+             ("1/2", "2"), ("0", "3/2")],
+            [("0", "3/2"), ("1/2", "2"), ("0", "2")],
+            [("3/2", "0"), ("2", "0"), ("2", "1/2")],
+            [(0, 2), (2, 0), (4, 0), (4, 2), (2, 4), (0, 4)],
+            [(0, 2), (2, 0), (3, 0), (4, 1), (4, 2), (2, 4), (1, 4), (0, 3)],
+        ]
+        for polygon, coords in zip(polygons, expected, strict=True):
+            assert polygon.vertices == tuple(vecs(coords))
+            assert "vertices" in vars(polygon)
 
 
 class TestTransforms:

@@ -1,9 +1,12 @@
-"""Every name a library module imports is used in that module, every
-module-level private function is used somewhere in the library, and every
-module-level public function is exported or used somewhere in the library.
+"""Every name a library or test module imports is used in that module,
+every module-level private function is used somewhere in the library, and
+every module-level public function is exported or used somewhere in the
+library.
 
 `__init__.py` is left out of the import check: its imports are the
-package's public names. Names in quoted annotations count as uses.
+package's public names. Names in quoted annotations count as uses, and so
+do names that a test module imports from another one, as the tests import
+`quadrilateral` from `conftest`.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import polychow
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polychow"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -49,10 +54,26 @@ def test_modules_found():
     assert "counting.py" in MODULES
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
-    assert sorted(_imported_names(tree) - _used_names(tree)) == []
+def _imported_from(module: str) -> set[str]:
+    """The names that the test modules import from the test module
+    `module`, such as `conftest`."""
+    names: set[str] = set()
+    for path in TESTS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if isinstance(node, ast.ImportFrom) and node.module == module:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path",
+    [PACKAGE / m for m in MODULES] + [TESTS / m for m in TEST_MODULES],
+    ids=MODULES + [f"tests/{m}" for m in TEST_MODULES],
+)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=path.name)
+    used = _used_names(tree) | _imported_from(path.stem)
+    assert sorted(_imported_names(tree) - used) == []
 
 
 def _functions_and_uses() -> tuple[set[str], set[str]]:

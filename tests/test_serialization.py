@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,21 @@ class TestRationalRoundTrip:
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad, "here")
+
+    @pytest.mark.parametrize("text", ["1e30000000", "1e-30000000", "1e4301", "1E+0_4301"])
+    def test_long_exponent_refused_at_once(self, text):
+        started = time.monotonic()
+        with pytest.raises(ParseError, match="^here: exponent beyond 4300"):
+            parse_rational(text, "here")
+        assert time.monotonic() - started < 0.5
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e3", 1000), ("25e-1", Fraction(5, 2)), ("1e0_0003", 1000),
+         ("1e-4300", Fraction(1, 10**4300))],
+    )
+    def test_short_exponent_parses(self, text, value):
+        assert parse_rational(text, "here") == value
 
     def test_fmt_vec_and_polys(self):
         v = Vec2.of(Fraction(1, 2), -3)
