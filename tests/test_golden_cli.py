@@ -3,7 +3,9 @@
 `tests/golden/cli_stdout.json` holds the input files (name -> text) and, for
 each case, the argv, the exit code and the stdout of `polychow.cli.main`. An
 argv entry that names one of the files is replaced by its path. stderr is
-not compared: it carries the duration line and the error messages.
+not compared: it carries the duration line and the error messages. The
+`--help` cases are rendered at a fixed width of 80 columns, since argparse
+wraps help text to the terminal's width.
 
 After a deliberate change of CLI output, rewrite the recorded results with
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -17,6 +19,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -40,7 +43,11 @@ def _write_files(files: dict[str, str], directory: Path) -> dict[str, str]:
 
 def _invoke(argv: list[str], paths: dict[str, str]) -> tuple[int, str]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(io.StringIO()),
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+    ):
         try:
             code = main([paths.get(arg, arg) for arg in argv])
         except SystemExit as exc:
