@@ -82,26 +82,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, needs_file: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, run, needs_file: bool = True,
+            poly: str | None = None) -> argparse.ArgumentParser:
+        """A subcommand whose handler is `args.run`; a `poly` name adds the
+        --i/--poly pair shared by the dilation commands."""
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if needs_file:
             p.add_argument("file", help="polytope JSON file: {\"vertices\": [[\"0\",\"0\"], ...]}")
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
+        if poly:
+            p.add_argument("--i", type=int, default=1, metavar="N",
+                           help="dilation factor (default 1)")
+            p.add_argument("--poly", action="store_true",
+                           help=f"emit the {poly} polynomial instead")
         return p
 
-    add("info", "areas, lattice data and Delzant status of a polygon")
+    add("info", "areas, lattice data and Delzant status of a polygon", _cmd_info)
+    add("ehrhart", "lattice point count at a dilation, or the counting polynomial", _cmd_ehrhart,
+        poly="counting")
+    add("sum", "lattice point sum at a dilation, or the sum polynomial", _cmd_sum, poly="sum")
 
-    p = add("ehrhart", "lattice point count at a dilation, or the counting polynomial")
-    p.add_argument("--i", type=int, default=1, metavar="N", help="dilation factor (default 1)")
-    p.add_argument("--poly", action="store_true", help="emit the counting polynomial instead")
-
-    p = add("sum", "lattice point sum at a dilation, or the sum polynomial")
-    p.add_argument("--i", type=int, default=1, metavar="N", help="dilation factor (default 1)")
-    p.add_argument("--poly", action="store_true", help="emit the sum polynomial instead")
-
-    p = add("chow", "Chow weight at a dilation, or its polynomial and coefficient span")
-    p.add_argument("--i", type=int, default=1, metavar="N", help="dilation factor (default 1)")
-    p.add_argument("--poly", action="store_true", help="emit the Chow polynomial instead")
+    p = add("chow", "Chow weight at a dilation, or its polynomial and coefficient span", _cmd_chow,
+            poly="Chow")
     p.add_argument(
         "--laws",
         type=int,
@@ -110,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also check the translation/unimodular/scaling laws for i=1..N",
     )
 
-    p = add("blowup", "corner-chop decomposition, blow-up invariants and Chow weight")
+    p = add("blowup", "corner-chop decomposition, blow-up invariants and Chow weight", _cmd_blowup)
     p.add_argument("--cuts", required=True, metavar="FILE",
                    help="cuts JSON file: {\"cuts\": [{\"vertex\": [\"0\",\"2\"], \"depth\": \"1/2\"}]}")
     p.add_argument("--verify", action="store_true",
@@ -118,14 +121,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--imax", type=int, default=3, metavar="N",
                    help="largest dilation for --verify (default 3)")
 
-    p = add("fo", "averaged-point invariant and symmetry findings")
+    p = add("fo", "averaged-point invariant and symmetry findings", _cmd_fo)
     p.add_argument("--i", type=int, default=1, metavar="N", help="largest dilation (default 1)")
     p.add_argument("--group", metavar="FILE",
                    help="symmetry generators JSON file: {\"generators\": [[[0,-1],[1,-1]]]}")
 
-    p = add("mukai", "incidence stability test for plane point configurations")
-
-    add("replicate", "run the embedded replication suite", needs_file=False)
+    add("mukai", "incidence stability test for plane point configurations", _cmd_mukai)
+    add("replicate", "run the embedded replication suite", _cmd_replicate, needs_file=False)
     return parser
 
 
@@ -326,18 +328,6 @@ def _cmd_replicate(args) -> tuple[dict, int]:
     return report, 0 if not failing else 2
 
 
-_COMMANDS = {
-    "info": _cmd_info,
-    "ehrhart": _cmd_ehrhart,
-    "sum": _cmd_sum,
-    "chow": _cmd_chow,
-    "blowup": _cmd_blowup,
-    "fo": _cmd_fo,
-    "mukai": _cmd_mukai,
-    "replicate": _cmd_replicate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
@@ -349,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     try:
-        body, exit_code = _COMMANDS[args.command](args)
+        body, exit_code = args.run(args)
         report.update(body)
         # rendering can fail too: an int past the interpreter's digit limit
         text = render_report(report, as_json=args.json)

@@ -16,6 +16,7 @@ this package depends on that convention.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -26,16 +27,30 @@ from .errors import DegeneratePolytope, NotDelzant
 
 RationalLike = Union[int, str, Fraction]
 
+# The largest exponent magnitude accepted in exponent notation ("3e-2"):
+# the 4300-digit limit that CPython applies to an integer written out in
+# full. Fraction("1e10000000") would spend seconds building 10**10000000.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
 
 def to_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, "p/q" string or Fraction to a Fraction. Floats are
     rejected: binary floats would silently destroy exactness. So are bools,
-    which are ints to Python but never a coordinate."""
+    which are ints to Python but never a coordinate. Both raise TypeError;
+    a string that is not a rational raises ValueError or, for "p/0",
+    ZeroDivisionError. An exponent beyond MAX_EXPONENT in magnitude raises
+    OverflowError before any digit is built."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        # lengths first: int() of a long digit string is slow, or refused
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise OverflowError(f"exponent beyond {MAX_EXPONENT}")
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -275,9 +290,9 @@ class Polygon:
     consecutive vertices collinear, counter-clockwise orientation, first
     vertex lexicographically smallest. Use `canonicalize` to build one from
     arbitrary points. A polygon stores only its integer form `integer`,
-    which gives its equality. The `Fraction` vertices are built from it on
-    first access; the hash is the hash of the vertex tuple. `_sum_constant`
-    is 12 times the point-sum constant, stored once the gate of
+    which gives its equality and its hash. The `Fraction` vertices are
+    built from it on first access. `_sum_constant` is 12 times the
+    point-sum constant, stored once the gate of
     `counting._counting_and_sum_polys` has passed on this object.
     """
 
@@ -294,9 +309,6 @@ class Polygon:
 
     def __repr__(self) -> str:
         return f"Polygon(vertices={self.vertices!r})"
-
-    def __hash__(self) -> int:
-        return hash((self.vertices,))
 
     def __len__(self) -> int:
         return len(self.integer.vertices)

@@ -55,10 +55,6 @@ def _eq(name: str, got, expected) -> Check:
     return Check(name, got == expected, f"got {got}, expected {expected}")
 
 
-def _vec(x, y) -> Vec2:
-    return Vec2.of(x, y)
-
-
 def _identity_check(d: Decomposition, i_max: int) -> Check:
     """The blow-up identity against enumeration for i = 1..i_max; a
     mismatch fails the check with its report instead of raising."""
@@ -98,8 +94,8 @@ def _fixture_cp2_three_chops() -> FixtureResult:
 def _fixture_hexagon_chop() -> FixtureResult:
     d = chop_corners(HEXAGON, [CornerCut.of((0, 2), Fraction(1, 2))])
     df1, df2 = df_invariants(d)
-    expected_df1 = _vec(Fraction(83, 12), Fraction(-83, 12))
-    expected_df2 = _vec(Fraction(13, 12), Fraction(-13, 12))
+    expected_df1 = Vec2.of(Fraction(83, 12), Fraction(-83, 12))
+    expected_df2 = Vec2.of(Fraction(13, 12), Fraction(-13, 12))
     after = chow_after_blowup(d)
     checks = [
         _eq("k", d.k, 2),
@@ -155,11 +151,11 @@ def _fixture_octagon_chop() -> FixtureResult:
             ehrhart_poly(scaled_base),
             ScalarPoly(Fraction(44), Fraction(10), Fraction(1)),
         ),
-        _eq("point sum at 1", sum_points(scaled_base, 1), _vec(220, 220)),
-        _eq("point sum at 2", sum_points(scaled_base, 2), _vec(788, 788)),
-        _eq("sum polynomial constant", sum_poly(scaled_base).c0, _vec(4, 4)),
-        _eq("df1", df1, _vec(0, Fraction(-835, 12))),
-        _eq("df2", df2, _vec(0, Fraction(-65, 12))),
+        _eq("point sum at 1", sum_points(scaled_base, 1), Vec2.of(220, 220)),
+        _eq("point sum at 2", sum_points(scaled_base, 2), Vec2.of(788, 788)),
+        _eq("sum polynomial constant", sum_poly(scaled_base).c0, Vec2.of(4, 4)),
+        _eq("df1", df1, Vec2.of(0, Fraction(-835, 12))),
+        _eq("df2", df2, Vec2.of(0, Fraction(-65, 12))),
         _eq("identity equals direct Chow weight (linear)", after.c1, direct.c1),
         _eq("identity equals direct Chow weight (const)", after.c0, direct.c0),
         _eq("coefficient span", coefficient_span_dim(after), 1),
@@ -183,17 +179,17 @@ def _fixture_quadrilateral_sweep() -> FixtureResult:
                 tag = f"a={a} b={b} n={n}"
                 vol = Fraction(a * b) + Fraction(a * a * n, 2)
                 expected_e = ScalarPoly(vol, Fraction(a + b) + Fraction(a * n, 2), Fraction(1))
-                moment = _vec(
+                moment = Vec2.of(
                     Fraction(a, 6) * (a * a * n * n + 3 * a * b * n + 3 * b * b),
                     Fraction(a, 6) * a * (a * n + 3 * b),
                 )
                 expected_s = VecPoly(
                     moment,
-                    _vec(
+                    Vec2.of(
                         Fraction(a * a * n * n + a * a * n + 2 * a * b * n + 2 * a * b + 2 * b * b, 4),
                         Fraction(2 * a * (a + b), 4),
                     ),
-                    _vec(
+                    Vec2.of(
                         Fraction(a * n * n + 3 * a * n + 6 * b, 12),
                         Fraction(2 * a * (3 - n), 12),
                     ),
@@ -201,8 +197,8 @@ def _fixture_quadrilateral_sweep() -> FixtureResult:
                 scale_chow = Fraction(a * a * n, 24) * (a * n - a + 2 * b)
                 expected_chow = VecPoly(
                     ZERO_VEC,
-                    _vec(scale_chow * a * n, -2 * scale_chow * a),
-                    _vec(scale_chow * n, -2 * scale_chow),
+                    Vec2.of(scale_chow * a * n, -2 * scale_chow * a),
+                    Vec2.of(scale_chow * n, -2 * scale_chow),
                 )
                 ok = (
                     area(p) == vol

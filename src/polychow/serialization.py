@@ -10,47 +10,38 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import DuplicatePoint, ParseError
-from .geometry import IntMat2, Polygon, Vec2, canonicalize
+from .geometry import IntMat2, Polygon, Vec2, canonicalize, to_fraction
 from .blowup import CornerCut
 from .counting import ScalarPoly, VecPoly
 from .stability import PointConfiguration, SymmetryGroup
 
 
-# The largest exponent magnitude accepted in exponent notation ("3e-2"):
-# the 4300-digit limit that CPython applies to an integer written out in
-# full. Fraction("1e10000000") would spend seconds building 10**10000000.
-MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+def _echo(value) -> str:
+    """The repr of an offending value, cut to about 60 characters so that
+    an error message stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def parse_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{where}: expected an exact rational string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        exponent = _EXPONENT.search(value)
-        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-        # lengths first: int() of a long digit string is slow, or refused
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            raise ParseError(f"{where}: exponent beyond {MAX_EXPONENT}")
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: not a rational: {value!r}") from exc
-    raise ParseError(f"{where}: expected an exact rational string, got {value!r}")
+    try:
+        return to_fraction(value)
+    except TypeError:
+        raise ParseError(
+            f"{where}: expected an exact rational string, got {_echo(value)}"
+        ) from None
+    except OverflowError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where}: not a rational: {_echo(value)}") from exc
 
 
 def fmt_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def fmt_vec(v: Vec2) -> list[str]:
@@ -95,7 +86,7 @@ def _load_list(path: str | Path, key: str, min_length: int, requirement: str) ->
 
 def _coordinate_pair(raw, where: str) -> Vec2:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ParseError(f"{where}: expected a coordinate pair, got {raw!r}")
+        raise ParseError(f"{where}: expected a coordinate pair, got {_echo(raw)}")
     return Vec2(parse_rational(raw[0], f"{where}[0]"), parse_rational(raw[1], f"{where}[1]"))
 
 

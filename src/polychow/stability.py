@@ -173,14 +173,13 @@ def sum_rule_constant_condition(decomposition: Decomposition) -> Fraction:
 
 
 def _primitive_triple(raw: tuple[int, int, int]) -> tuple[int, int, int]:
-    g = gcd(gcd(abs(raw[0]), abs(raw[1])), abs(raw[2]))
+    g = gcd(*raw)
     if g == 0:
         raise ValueError("projective coordinates cannot all vanish")
-    triple = (raw[0] // g, raw[1] // g, raw[2] // g)
-    for coord in triple:
-        if coord != 0:
-            return triple if coord > 0 else (-triple[0], -triple[1], -triple[2])
-    raise ValueError("projective coordinates cannot all vanish")
+    # a triple is below (0, 0, 0) exactly when its first nonzero coordinate is negative
+    if raw < (0, 0, 0):
+        g = -g
+    return (raw[0] // g, raw[1] // g, raw[2] // g)
 
 
 @dataclass(frozen=True)
@@ -197,11 +196,7 @@ class PointConfiguration:
             if not (type(point) is tuple and len(point) == 3
                     and type(point[0]) is type(point[1]) is type(point[2]) is int):
                 raise ValueError(f"projective point needs a triple of integers: {point!r}")
-            g = gcd(*point)
-            if g == 0:
-                raise ValueError("projective coordinates cannot all vanish")
-            # a triple is above (0, 0, 0) exactly when its first nonzero coordinate is positive
-            if g != 1 or point < (0, 0, 0):
+            if _primitive_triple(point) != point:
                 raise ValueError(
                     f"projective point {point!r} is not primitive with its first nonzero "
                     "coordinate positive (PointConfiguration.of normalizes it)"

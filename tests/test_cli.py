@@ -362,6 +362,31 @@ class TestLongNumbers:
         assert captured.err.startswith("error: ParseError: ") and "depth" in captured.err
 
 
+class TestLongValuesInErrors:
+    """A parse error echoes at most about 60 characters of the offending
+    value, so a huge value still gives one short error line."""
+
+    @pytest.mark.parametrize(
+        "command, key, payload",
+        [
+            ("info", "vertices", [["x" * 200_000, "0"], ["1", "0"], ["0", "1"]]),
+            ("blowup", "cuts", [{"vertex": ["0", "2"], "depth": "1/" + "x" * 100_000}]),
+            ("mukai", "points", [["x" * 100_000, "0", "1"]]),
+            ("info", "vertices", [list(range(50_000)), ["1", "0"], ["0", "1"]]),
+        ],
+        ids=["info coordinate", "blowup depth", "mukai coordinate", "info list as a pair"],
+    )
+    def test_one_short_error_line(self, capsys, hexagon_file, tmp_path, command, key, payload):
+        path = write(tmp_path, "long.json", {key: payload})
+        argv = ["blowup", hexagon_file, "--cuts", path] if command == "blowup" else [command, path]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) < 400
+        assert "long.json" in captured.err and "..." in captured.err
+
+
 class TestBudget:
     def test_enumeration_cap_exit_one(self, capsys, triangle_file, monkeypatch):
         monkeypatch.setenv("POLYCHOW_MAX_ENUM", "3")

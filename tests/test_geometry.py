@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from polychow import (
     verify_blowup_theorem,
     verify_general_identity,
 )
+from polychow.geometry import to_fraction
 
 
 def vecs(coords):
@@ -227,6 +229,42 @@ class TestStoredForm:
         for polygon, coords in zip(polygons, expected, strict=True):
             assert polygon.vertices == tuple(vecs(coords))
             assert "vertices" in vars(polygon)
+
+    def test_hash_builds_no_vertices(self, hexagon):
+        polygon = scale(hexagon, 3)
+        assert hash(polygon) == hash(scale(hexagon, 3))
+        assert "vertices" not in vars(polygon)
+
+
+class TestRationalCoercion:
+    """`to_fraction` is the one string-to-rational rule: every entry point
+    that takes a rational string refuses a long exponent before building
+    its digits."""
+
+    ENTRY_POINTS = {
+        "to_fraction": to_fraction,
+        "Vec2.of": lambda text: Vec2.of(text, 0),
+        "CornerCut": lambda text: CornerCut(Vec2.of(0, 0), text),
+        "AffineMap.linear": lambda text: AffineMap.linear(text, 0, 0, 1),
+    }
+
+    @pytest.mark.parametrize("text", ["1e30000000", "1e-30000000"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_long_exponent_refused_at_once(self, entry, text):
+        started = time.monotonic()
+        with pytest.raises(OverflowError, match="^exponent beyond 4300$"):
+            self.ENTRY_POINTS[entry](text)
+        assert time.monotonic() - started < 0.5
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e3", 1000), ("1e-4300", Fraction(1, 10**4300)), (" 5/3 ", Fraction(5, 3))],
+    )
+    def test_short_exponents_and_spaces_parse(self, text, value):
+        assert to_fraction(text) == value
+        assert Vec2.of(text, 0).x == value
+        assert CornerCut(Vec2.of(0, 0), text).depth == value
+        assert AffineMap.linear(text, 0, 0, 1).xx == value
 
 
 class TestTransforms:

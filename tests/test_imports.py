@@ -1,7 +1,8 @@
 """Every name a library or test module imports is used in that module,
-every module-level private function is used somewhere in the library, and
+every module-level private function is used somewhere in the library,
 every module-level public function is exported or used somewhere in the
-library.
+library, and every module-level constant of a library module is read
+somewhere in the library.
 
 `__init__.py` is left out of the import check: its imports are the
 package's public names. Names in quoted annotations count as uses, and so
@@ -117,3 +118,39 @@ def test_no_dead_public_functions():
     public = {name for name in defined if not name.startswith("_")}
     assert {"chop_corners", "main"} <= public
     assert sorted(public - set(polychow.__all__) - used) == []
+
+
+def _constants_and_reads() -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
+    """The (module, name) pairs assigned at module level in the library
+    modules (dunders left out), and the (module, name) pairs that the
+    library reads: a bare name read in its own module outside the statement
+    that assigns it, a name imported from a module, and `module.name`."""
+    assigned: set[tuple[str, str]] = set()
+    reads: set[tuple[str, str]] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text(), filename=path.name).body:
+            owned: set[str] = set()
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                owned = {
+                    n.id for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name) and not n.id.startswith("__")
+                }
+                assigned.update((module, name) for name in owned)
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
+                    if inner.id not in owned:
+                        reads.add((module, inner.id))
+                elif isinstance(inner, ast.ImportFrom) and inner.module:
+                    source = inner.module.rsplit(".", 1)[-1]
+                    reads.update((source, alias.name) for alias in inner.names)
+                elif isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name):
+                    reads.add((inner.value.id, inner.attr))
+    return assigned, reads
+
+
+def test_no_dead_module_constants():
+    assigned, reads = _constants_and_reads()
+    assert ("counting", "DEFAULT_MAX_ENUM") in assigned
+    assert sorted(assigned - reads) == []
