@@ -132,10 +132,9 @@ def _triangles_disjoint(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> b
 def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -> Decomposition:
     """Chop the given corners off the base polygon and validate the result.
 
-    The base may be rational as long as the cut data scales to integers:
-    after computing k (the minimal lattice multiple of the chopped
-    polygon), each k*depth must be a positive integer, which also forces
-    the scaled base to be a lattice polygon. The chopped polygon's Delzant
+    The base may be rational: k is the minimal lattice multiple of the
+    chopped polygon, each k*depth is then a positive integer, and the
+    scaled base is a lattice polygon. The chopped polygon's Delzant
     status at scale k is reported as a flag, not an error: the invariants
     still evaluate, and callers can decide how much to trust them.
 
@@ -199,14 +198,9 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
     chopped = _from_integers(common, _hull(walk))
 
     k = denominator_lcm(chopped)
-    m: list[int] = []
-    for cut in cuts:
-        scaled_depth, remainder = divmod(cut.depth.numerator * k, cut.depth.denominator)
-        if remainder:
-            raise InvalidCutDepth(
-                f"depth {cut.depth} does not scale to an integer at lattice multiple {k}"
-            )
-        m.append(scaled_depth)
+    # k*depth is an integer: k times a seam is integral, and a seam is
+    # depth*(p - n) for a primitive p - n, as its frame (n, p) has det 1
+    m = tuple(cut.depth.numerator * k // cut.depth.denominator for cut in cuts)
 
     scaled_base = scale(base, k)
     scaled_chopped = scale(chopped, k)
@@ -240,7 +234,7 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
         ),
         frames=frames,
         k=k,
-        m=tuple(m),
+        m=m,
         m_sum=m_sum,
         m_square_sum=m_square_sum,
         a_const=a_const,

@@ -48,11 +48,6 @@ from .stability import (
 from .replicate import run_replication
 from .serialization import (
     file_digest,
-    fmt_mat,
-    fmt_rational,
-    fmt_scalar_poly,
-    fmt_vec,
-    fmt_vec_poly,
     load_cuts,
     load_group,
     load_points,
@@ -147,14 +142,14 @@ def _polygon_report(polygon: Polygon) -> dict:
     vol = area(polygon)
     moment = moment_integral(polygon)
     return {
-        "vertices": [fmt_vec(v) for v in polygon.vertices],
-        "area": fmt_rational(vol),
-        "boundary_lattice_length": fmt_rational(boundary_lattice_length(polygon)),
+        "vertices": polygon.vertices,
+        "area": vol,
+        "boundary_lattice_length": boundary_lattice_length(polygon),
         "is_lattice": is_lattice(polygon),
         "is_delzant": is_delzant(polygon),
         "denominator_lcm": denominator_lcm(polygon),
-        "moment_integral": fmt_vec(moment),
-        "barycenter": fmt_vec(Vec2(moment.x / vol, moment.y / vol)),
+        "moment_integral": moment,
+        "barycenter": Vec2(moment.x / vol, moment.y / vol),
     }
 
 
@@ -166,15 +161,15 @@ def _cmd_info(args) -> tuple[dict, int]:
 def _cmd_ehrhart(args) -> tuple[dict, int]:
     polygon = load_polytope(args.file)
     if args.poly:
-        return {"ehrhart_poly": fmt_scalar_poly(ehrhart_poly(polygon))}, 0
+        return {"ehrhart_poly": ehrhart_poly(polygon)}, 0
     return {"i": args.i, "count": ehrhart_eval(polygon, args.i)}, 0
 
 
 def _cmd_sum(args) -> tuple[dict, int]:
     polygon = load_polytope(args.file)
     if args.poly:
-        return {"sum_poly": fmt_vec_poly(sum_poly(polygon))}, 0
-    return {"i": args.i, "sum": fmt_vec(sum_points(polygon, args.i))}, 0
+        return {"sum_poly": sum_poly(polygon)}, 0
+    return {"i": args.i, "sum": sum_points(polygon, args.i)}, 0
 
 
 def _cmd_chow(args) -> tuple[dict, int]:
@@ -184,14 +179,11 @@ def _cmd_chow(args) -> tuple[dict, int]:
     report: dict = {}
     if args.poly:
         poly = chow_poly(polygon)
-        report["chow_poly"] = {
-            "linear": fmt_vec(poly.c1),
-            "const": fmt_vec(poly.c0),
-        }
+        report["chow_poly"] = {"linear": poly.c1, "const": poly.c0}
         report["coefficient_span_dim"] = coefficient_span_dim(poly)
     else:
         report["i"] = args.i
-        report["chow"] = fmt_vec(chow_eval(polygon, AffineMap.identity(), args.i))
+        report["chow"] = chow_eval(polygon, AffineMap.identity(), args.i)
     if args.laws > 0:
         # six Chow weights per i, the scaling law's two at dilation 2i
         _charge_dilations(polygon, 6 * args.laws, 2 * args.laws, f"--laws {args.laws}")
@@ -209,8 +201,8 @@ def _cmd_chow(args) -> tuple[dict, int]:
                         "law": check.law,
                         "i": i,
                         "holds": check.holds,
-                        "lhs": fmt_vec(check.lhs),
-                        "rhs": fmt_vec(check.rhs),
+                        "lhs": check.lhs,
+                        "rhs": check.rhs,
                     }
                 )
         report["laws"] = entries
@@ -229,17 +221,17 @@ def _cmd_blowup(args) -> tuple[dict, int]:
     after = chow_after_blowup(decomposition)
     report = {
         "k": decomposition.k,
-        "m": list(decomposition.m),
+        "m": decomposition.m,
         "M": decomposition.m_sum,
         "M_tilde": decomposition.m_square_sum,
         "A": decomposition.a_const,
         "B": decomposition.b_const,
-        "frames": [fmt_mat(f) for f in decomposition.frames],
-        "chopped_vertices": [fmt_vec(v) for v in decomposition.chopped.vertices],
+        "frames": decomposition.frames,
+        "chopped_vertices": decomposition.chopped.vertices,
         "chopped_scaled_delzant": decomposition.chopped_scaled_delzant,
-        "DF1": fmt_vec(df1),
-        "DF2": fmt_vec(df2),
-        "chow_poly": {"linear": fmt_vec(after.c1), "const": fmt_vec(after.c0)},
+        "DF1": df1,
+        "DF2": df2,
+        "chow_poly": {"linear": after.c1, "const": after.c0},
         "coefficient_span_dim": coefficient_span_dim(after),
     }
     if not decomposition.chopped_scaled_delzant:
@@ -257,7 +249,7 @@ def _cmd_blowup(args) -> tuple[dict, int]:
             entries = exc.report.entries if exc.report is not None else ()
             exit_code = 2
         report["verification"] = [
-            {"i": i, "identity": fmt_vec(lhs), "enumerated": fmt_vec(rhs), "equal": lhs == rhs}
+            {"i": i, "identity": lhs, "enumerated": rhs, "equal": lhs == rhs}
             for i, lhs, rhs in entries
         ]
         report["verified"] = exit_code == 0
@@ -272,7 +264,7 @@ def _cmd_fo(args) -> tuple[dict, int]:
     centrally_symmetric = is_centrally_symmetric(polygon)
     report: dict = {
         "fo": [
-            {"i": i, "value": fmt_vec(fo_invariant(polygon, i))}
+            {"i": i, "value": fo_invariant(polygon, i)}
             for i in range(1, args.i + 1)
         ],
         "centrally_symmetric": centrally_symmetric,
@@ -298,10 +290,10 @@ def _cmd_mukai(args) -> tuple[dict, int]:
         "verdict": result.verdict,
         "witness": {
             "dim": witness.dim,
-            "coordinates": list(witness.coordinates),
+            "coordinates": witness.coordinates,
             "incident": witness.incident,
-            "ratio": fmt_rational(witness.ratio),
-            "bound": fmt_rational(witness.bound),
+            "ratio": witness.ratio,
+            "bound": witness.bound,
         },
     }, 0
 

@@ -135,7 +135,9 @@ def _floor_sums(a: int, c: int, b: int, n: int) -> tuple[int, int, int]:
     f^2 and t*f moments. One chain edge's rows y = y0 .. y1 are
     t = y - y0 with a shifted to a + c*y0. n - 1 more than halves every two
     levels, so the recursion is at most about 2*log2(n) deep: under 60
-    levels for the 10^8 rows of the default budget."""
+    levels for the 10^8 rows of the default budget. A raised budget can
+    admit rows past the interpreter's recursion limit, about 2^450 rows on
+    golden-ratio slopes; `_moments` refuses those."""
     qa, a = divmod(a, b)
     qc, c = divmod(c, b)
     # f(t) = qa + qc*t + r(t) with r(t) = (a + c*t) // b and 0 <= a, c < b
@@ -168,7 +170,8 @@ def _moments(
     a convex polygon: a row without points has length 0, never less. So
     over the n rows, count = sum F + sum G + n,
     2 * sum x = sum (F - G) * (F + G + 1) = sum F^2 + F - G^2 - G and
-    sum y = sum y*F + sum y*G + sum y.
+    sum y = sum y*F + sum y*G + sum y. Floor sums that recurse past the
+    interpreter's limit raise EnumerationLimitExceeded.
     """
     n = rows.stop - rows.start
     count, sx2, sy = n, 0, (rows.start + rows.stop - 1) * n // 2
@@ -176,7 +179,12 @@ def _moments(
         y0 = rows.start
         for top, a, c, b in chain:
             y1 = top // scale_l
-            f, f2, tf = _floor_sums(a + c * y0, c, b, y1 - y0 + 1)
+            try:
+                f, f2, tf = _floor_sums(a + c * y0, c, b, y1 - y0 + 1)
+            except RecursionError:
+                raise EnumerationLimitExceeded(
+                    f"floor sums over {n} rows recurse past the interpreter's limit"
+                ) from None
             count += f
             sx2 += sign * (f2 + f)
             sy += y0 * f + tf

@@ -45,8 +45,7 @@ class InvalidCutVertex(PolychowError):
 
 
 class InvalidCutDepth(PolychowError):
-    """A corner-cut depth is not positive or does not give an integral depth
-    after scaling by the minimal lattice multiple of the chopped polygon."""
+    """A corner-cut depth is not positive."""
 
 
 class CutThroughEdge(PolychowError):

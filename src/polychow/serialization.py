@@ -2,8 +2,9 @@
 
 All rationals travel as strings ("p/q" or a bare integer string) so that
 exactness survives round trips; float literals are rejected everywhere.
-Reports are plain dicts with deterministic key order, rendered either as
-canonical JSON or as an indented text listing.
+Reports are plain dicts of library values with deterministic key order;
+`render_report` turns every value type into JSON data in one place and
+writes it either as canonical JSON or as an indented text listing.
 """
 
 from __future__ import annotations
@@ -38,26 +39,6 @@ def parse_rational(value, where: str) -> Fraction:
         raise ParseError(f"{where}: {exc}") from None
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: not a rational: {_echo(value)}") from exc
-
-
-def fmt_rational(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
-def fmt_vec(v: Vec2) -> list[str]:
-    return [fmt_rational(v.x), fmt_rational(v.y)]
-
-
-def fmt_scalar_poly(p: ScalarPoly) -> dict[str, str]:
-    return {"i2": fmt_rational(p.c2), "i1": fmt_rational(p.c1), "const": fmt_rational(p.c0)}
-
-
-def fmt_vec_poly(p: VecPoly) -> dict[str, list[str]]:
-    return {"i2": fmt_vec(p.c2), "i1": fmt_vec(p.c1), "const": fmt_vec(p.c0)}
-
-
-def fmt_mat(m: IntMat2) -> list[list[int]]:
-    return [[m.a, m.b], [m.c, m.d]]
 
 
 def _load_json(path: str | Path) -> object:
@@ -153,7 +134,30 @@ def file_digest(path: str | Path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _data(value):
+    """A report value as JSON data: a Fraction as its p/q string, a Vec2 as
+    its two coordinate strings, an IntMat2 as its rows, a polynomial as its
+    "i2", "i1" and "const" coefficients, a tuple as a list, and dicts and
+    lists entry by entry; ints, bools and strings stay as they are."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Vec2):
+        return [str(value.x), str(value.y)]
+    if isinstance(value, IntMat2):
+        return [[value.a, value.b], [value.c, value.d]]
+    if isinstance(value, (ScalarPoly, VecPoly)):
+        return {"i2": _data(value.c2), "i1": _data(value.c1), "const": _data(value.c0)}
+    if isinstance(value, dict):
+        return {key: _data(entry) for key, entry in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_data(entry) for entry in value]
+    return value
+
+
 def render_report(report: dict, as_json: bool) -> str:
+    """The report, its library values turned into JSON data, as canonical
+    JSON or as an indented text listing."""
+    report = _data(report)
     if as_json:
         return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
     lines: list[str] = []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,6 +17,7 @@ from polychow import (
     InvalidCutVertex,
     OverlappingCuts,
     Polygon,
+    PolychowError,
     Vec2,
     VecPoly,
     VerificationMismatch,
@@ -180,6 +182,25 @@ class TestChopCorners:
         d = octagon_cut(octagon)
         assert d.k == 4
         assert d.chopped_scaled_delzant
+
+    def test_scaled_depth_is_seam_lattice_length(self, heptagon, octagon, nonagon):
+        # each seam q -> r is depth * (p - n) for a corner frame (n, p) of
+        # det 1, so p - n is primitive and k * (r - q) has gcd k * depth = m
+        decompositions = list(decomposition_corpus())
+        depths = [Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+        for base in (heptagon, octagon, nonagon):
+            for vertex in base.vertices:
+                for depth in depths:
+                    try:
+                        decompositions.append(chop_corners(base, [CornerCut(vertex, depth)]))
+                    except PolychowError:
+                        continue
+        assert len(decompositions) >= 80
+        for d in decompositions:
+            for m, (q, r) in zip(d.m, d.seams):
+                step = (r - q) * d.k
+                assert step.x.denominator == step.y.denominator == 1
+                assert m == gcd(step.x.numerator, step.y.numerator)
 
 
 class TestSimplexForms:

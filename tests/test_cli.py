@@ -433,3 +433,18 @@ class TestBudget:
         assert captured.out == ""
         assert captured.err.startswith("error: EnumerationLimitExceeded: enumeration scans ")
         assert captured.err.count("\n") == 1
+
+    def test_floor_sums_past_recursion_limit_exit_one(self, capsys, tmp_path, monkeypatch):
+        # a raised cap admits 10^313 rows on golden-ratio slopes, whose floor
+        # sums nest past the interpreter's recursion limit
+        monkeypatch.setenv("POLYCHOW_MAX_ENUM", "1" + "0" * 400)
+        fib = [0, 1]
+        while len(fib) < 1502:
+            fib.append(fib[-1] + fib[-2])
+        vertices = [["0", "0"], [str(fib[1501]), str(fib[1500])], ["0", str(fib[1500])]]
+        path = write(tmp_path, "fib.json", {"vertices": vertices})
+        assert main(["ehrhart", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: EnumerationLimitExceeded: floor sums over ")
+        assert captured.err.count("\n") == 1

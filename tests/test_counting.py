@@ -148,6 +148,27 @@ class TestLatticeMoments:
         assert lattice_moments(sliver, 1) == (3, 1, 10**6 + 1)
 
 
+    def test_floor_sums_past_recursion_limit_refused(self, monkeypatch):
+        # golden-ratio slopes nest the floor sums about 1.44 levels per bit
+        # of the row count: the 10^313 rows of this triangle go past the
+        # interpreter's recursion limit, which a cap of 10^400 admits
+        monkeypatch.setenv("POLYCHOW_MAX_ENUM", "1" + "0" * 400)
+        fib = [0, 1]
+        while len(fib) < 1502:
+            fib.append(fib[-1] + fib[-2])
+        triangle = Polygon.from_coords([(0, 0), (fib[1501], fib[1500]), (0, fib[1500])])
+        with pytest.raises(EnumerationLimitExceeded, match=f"^floor sums over {fib[1500] + 1} rows"):
+            lattice_moments(triangle, 1)
+
+    def test_shallow_floor_sums_at_huge_dilation(self, monkeypatch):
+        # the unit triangle's slopes end the recursion at once, at any i
+        monkeypatch.setenv("POLYCHOW_MAX_ENUM", "1" + "0" * 400)
+        i = 10**300
+        unit = Polygon.from_coords([(0, 0), (1, 0), (0, 1)])
+        sums = i * (i + 1) * (i + 2) // 6
+        assert lattice_moments(unit, i) == ((i + 1) * (i + 2) // 2, sums, sums)
+
+
 class TestEhrhart:
     def test_hexagon_poly(self, hexagon):
         assert ehrhart_poly(hexagon) == ScalarPoly(Fraction(3), Fraction(3), Fraction(1))

@@ -13,6 +13,7 @@ do names that a test module imports from another one, as the tests import
 from __future__ import annotations
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,12 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polychow"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = Path(__file__).resolve().parent
 TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
+
+
+@lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    """The syntax tree of the file, parsed once per session."""
+    return ast.parse(path.read_text(), filename=path.name)
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -55,14 +62,16 @@ def test_modules_found():
     assert "counting.py" in MODULES
 
 
-def _imported_from(module: str) -> set[str]:
-    """The names that the test modules import from the test module
-    `module`, such as `conftest`."""
-    names: set[str] = set()
+@lru_cache(maxsize=None)
+def _imported_from() -> dict[str, set[str]]:
+    """The names that the test modules import from each module, such as
+    `quadrilateral` from the test module `conftest`, keyed by the module
+    name as written in the import; one walk over the test modules."""
+    names: dict[str, set[str]] = {}
     for path in TESTS.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
-            if isinstance(node, ast.ImportFrom) and node.module == module:
-                names.update(alias.name for alias in node.names)
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.setdefault(node.module, set()).update(alias.name for alias in node.names)
     return names
 
 
@@ -72,8 +81,8 @@ def _imported_from(module: str) -> set[str]:
     ids=MODULES + [f"tests/{m}" for m in TEST_MODULES],
 )
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(), filename=path.name)
-    used = _used_names(tree) | _imported_from(path.stem)
+    tree = _tree(path)
+    used = _used_names(tree) | _imported_from().get(path.stem, set())
     assert sorted(_imported_names(tree) - used) == []
 
 
@@ -85,8 +94,7 @@ def _functions_and_uses() -> tuple[set[str], set[str]]:
     defined: set[str] = set()
     used: set[str] = set()
     for module in MODULES:
-        path = PACKAGE / module
-        for node in ast.parse(path.read_text(), filename=module).body:
+        for node in _tree(PACKAGE / module).body:
             owner = None
             if isinstance(node, ast.FunctionDef):
                 if not node.name.startswith("__"):
@@ -129,7 +137,7 @@ def _constants_and_reads() -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
     reads: set[tuple[str, str]] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
-        for node in ast.parse(path.read_text(), filename=path.name).body:
+        for node in _tree(path).body:
             owned: set[str] = set()
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]

@@ -6,13 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from polychow import ParseError, Vec2
+from polychow import IntMat2, ParseError, Vec2
 from polychow.counting import ScalarPoly, VecPoly
 from polychow.serialization import (
-    fmt_rational,
-    fmt_scalar_poly,
-    fmt_vec,
-    fmt_vec_poly,
     load_cuts,
     load_group,
     load_points,
@@ -23,19 +19,10 @@ from polychow.serialization import (
 
 
 class TestRationalRoundTrip:
-    def test_integers_render_bare(self):
-        assert fmt_rational(Fraction(3)) == "3"
-        assert fmt_rational(Fraction(-7)) == "-7"
-        assert fmt_rational(Fraction(0)) == "0"
-
-    def test_fractions_render_reduced(self):
-        assert fmt_rational(Fraction(6, 4)) == "3/2"
-        assert fmt_rational(Fraction(-83, 12)) == "-83/12"
-
     @pytest.mark.parametrize("text", ["3", "-7", "3/2", "-83/12", " 5/3 "])
     def test_parse_round_trip(self, text):
         value = parse_rational(text, "here")
-        assert parse_rational(fmt_rational(value), "back") == value
+        assert parse_rational(str(value), "back") == value
 
     @pytest.mark.parametrize("bad", [1.5, True, None, "x", "1/0", [1]])
     def test_rejects_non_rationals(self, bad):
@@ -56,17 +43,6 @@ class TestRationalRoundTrip:
     )
     def test_short_exponent_parses(self, text, value):
         assert parse_rational(text, "here") == value
-
-    def test_fmt_vec_and_polys(self):
-        v = Vec2.of(Fraction(1, 2), -3)
-        assert fmt_vec(v) == ["1/2", "-3"]
-        assert fmt_scalar_poly(ScalarPoly(Fraction(3), Fraction(3), Fraction(1))) == {
-            "i2": "3",
-            "i1": "3",
-            "const": "1",
-        }
-        poly = VecPoly(Vec2.of(0, 0), Vec2.of(Fraction(83, 12), Fraction(-83, 12)), v)
-        assert fmt_vec_poly(poly)["i1"] == ["83/12", "-83/12"]
 
 
 class TestLoaders:
@@ -172,3 +148,47 @@ class TestRendering:
         assert "a: 1/2" in text
         assert "  flag: yes" in text
         assert "    i: 1" in text
+
+    # (library value, its JSON data, its text listing under the key "v")
+    VALUES = {
+        "int-fraction": (Fraction(3), "3", "v: 3\n"),
+        "zero": (Fraction(0), "0", "v: 0\n"),
+        "reduced": (Fraction(6, 4), "3/2", "v: 3/2\n"),
+        "negative": (Fraction(-83, 12), "-83/12", "v: -83/12\n"),
+        "vec": (Vec2.of(Fraction(1, 2), -3), ["1/2", "-3"], "v: (1/2, -3)\n"),
+        "mat": (IntMat2(1, -1, 0, 1), [[1, -1], [0, 1]], "v: ((1, -1), (0, 1))\n"),
+        "scalar-poly": (
+            ScalarPoly(Fraction(9, 2), Fraction(9, 2), Fraction(1)),
+            {"i2": "9/2", "i1": "9/2", "const": "1"},
+            "v:\n  i2: 9/2\n  i1: 9/2\n  const: 1\n",
+        ),
+        "vec-poly": (
+            VecPoly(Vec2.of(0, 0), Vec2.of(Fraction(83, 12), Fraction(-83, 12)), Vec2.of(1, -3)),
+            {"i2": ["0", "0"], "i1": ["83/12", "-83/12"], "const": ["1", "-3"]},
+            "v:\n  i2: (0, 0)\n  i1: (83/12, -83/12)\n  const: (1, -3)\n",
+        ),
+        "tuple": ((1, -2, 0), [1, -2, 0], "v: (1, -2, 0)\n"),
+        "bool": (True, True, "v: yes\n"),
+        "int": (10**30, 10**30, f"v: {10**30}\n"),
+        "str": ("Borderline", "Borderline", "v: Borderline\n"),
+        "nested": (
+            [{"i": 1, "value": Vec2.of(Fraction(1, 2), 0), "equal": False}],
+            [{"i": 1, "value": ["1/2", "0"], "equal": False}],
+            "v:\n  -\n    i: 1\n    value: (1/2, 0)\n    equal: no\n",
+        ),
+        "vertices": (
+            (Vec2.of(0, 0), Vec2.of(3, 0)),
+            [["0", "0"], ["3", "0"]],
+            "v: ((0, 0), (3, 0))\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    @pytest.mark.parametrize("name", list(VALUES))
+    def test_library_values_render(self, name, as_json):
+        value, data, text = self.VALUES[name]
+        rendered = render_report({"v": value}, as_json=as_json)
+        if as_json:
+            assert rendered == json.dumps({"v": data}, indent=2) + "\n"
+        else:
+            assert rendered == text
