@@ -13,7 +13,13 @@ polygons, `df_invariants`, `chow_after_blowup`, the entries of
 for the same f, `lattice_points` of the (rational) chopped polygon at
 i = 1, 2, 3, and both sum-rule functions; and for every balanced base of
 `delzant_corpus(size=20)` scaled by 1, 2 or 3, both sum-rule functions on
-each decomposition cutting one or two corners at depth 1 or 2. A `repr`
+each decomposition cutting one or two corners at depth 1 or 2; for fixed
+point configurations of the plane (a heavy line's points placed first,
+last or interleaved, two tied heavy lines, a line of exactly 2n/3 points,
+all points on one line, n = 1, 2 and 3, a grid and generic points),
+`mukai_classify`; and for each cyclic generator of order 2, 3, 4 and 6
+conjugated by fixed unimodular matrices, `SymmetryGroup.generated_by`,
+whose frozenset order also pins the hash of `IntMat2`. A `repr`
 pins values and types alike: every coefficient must stay a `Fraction`.
 Where a call raises, the exception's type and message are recorded.
 
@@ -37,7 +43,10 @@ from corpus import CATALOG, decomposition_corpus, delzant_corpus
 from polychow import (
     AffineMap,
     CornerCut,
+    IntMat2,
+    PointConfiguration,
     PolychowError,
+    SymmetryGroup,
     Vec2,
     c_constant,
     canonicalize,
@@ -49,6 +58,7 @@ from polychow import (
     ehrhart_poly,
     fo_invariant,
     lattice_points,
+    mukai_classify,
     scale,
     sum_poly,
     sum_rule_constant_condition,
@@ -133,6 +143,64 @@ def _sum_rule_sweep_outputs(scaled) -> dict[str, str]:
     return out
 
 
+def _mukai_outputs(rows) -> dict[str, str]:
+    configuration = PointConfiguration.of(rows)
+    return {
+        "points": repr(configuration.points),
+        "mukai_classify": _outcome(mukai_classify, configuration),
+    }
+
+
+def _group_outputs(generators) -> dict[str, str]:
+    return {"generated_by": _outcome(SymmetryGroup.generated_by, generators)}
+
+
+# Points on a conic, off the line z = 0. With 11 points on z = 0 and these
+# 5, n = 16 and a line beats the point witness from 7 points on; any other
+# line holds at most 3, so the search may stop at the heavy line.
+_CONIC = [(1, j, j * j) for j in range(1, 6)]
+_HEAVY = [(1, j, 0) for j in range(11)]
+_MUKAI_CONFIGURATIONS = {
+    "heavy line first": _HEAVY + _CONIC,
+    "heavy line last": _CONIC + _HEAVY,
+    "heavy line interleaved": [p for pair in zip(_HEAVY, _CONIC) for p in pair] + _HEAVY[5:],
+    # y = 0 and z = 0 carry five points each, sharing (1, 0, 0); n = 11, need 5
+    "two tied heavy lines": [(1, 0, j) for j in range(5)] + [(1, j, 0) for j in range(1, 5)]
+    + [(1, 1, 1), (2, 3, 5)],
+    # y = 0 and z = 0 carry four points each, sharing (1, 0, 0); n = 7 and
+    # need 4, so another line might still tie; the larger line comes first
+    "two tied lines at the stop bound": [(1, 0, 1), (1, 0, 2), (0, 0, 1), (1, 0, 0), (0, 1, 0),
+                                         (1, 1, 0), (1, 2, 0)],
+    # 6 of 9 points on z = 0, exactly 2n/3
+    "borderline line of 2n/3": [(1, j, 0) for j in range(6)] + [(1, 1, 1), (1, 2, 4), (1, 3, 9)],
+    "all collinear": [(j, 1, 2 * j + 1) for j in range(7)],
+    "n = 1": [(2, 4, 6)],
+    "n = 2": [(1, 0, 0), (0, 1, 0)],
+    "n = 3": [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    "grid": [(1, x, y) for x in range(4) for y in range(4)],
+    "generic": [(1, j, j * j) for j in range(10)],
+}
+
+_CYCLIC = {
+    2: IntMat2(-1, 0, 0, -1),
+    3: IntMat2(0, -1, 1, -1),
+    4: IntMat2(0, -1, 1, 0),
+    6: IntMat2(1, -1, 1, 0),
+}
+_CONJUGATORS = [
+    IntMat2(1, 0, 0, 1),
+    IntMat2(1, 1, 0, 1),
+    IntMat2(2, 1, 1, 1),
+    IntMat2(3, -2, -1, 1),
+    IntMat2(-5, 2, 2, -1),
+]
+
+
+def _conjugate(g: IntMat2, p: IntMat2) -> IntMat2:
+    """p g p^-1 for p of determinant one."""
+    return p @ g @ IntMat2(p.d, -p.b, -p.c, p.a)
+
+
 def _subjects() -> dict[str, tuple]:
     subjects: dict[str, tuple] = {}
     for n, polygon in enumerate(CATALOG):
@@ -145,6 +213,13 @@ def _subjects() -> dict[str, tuple]:
             scaled = scale(base, factor)
             if fo_invariant(scaled, 1) == zero:
                 subjects[f"sum_rule[{n}, {factor}]"] = (_sum_rule_sweep_outputs, scaled)
+    for name, rows in _MUKAI_CONFIGURATIONS.items():
+        subjects[f"mukai[{name}]"] = (_mukai_outputs, rows)
+    for order, g in _CYCLIC.items():
+        for n, p in enumerate(_CONJUGATORS):
+            subjects[f"group[{order}, {n}]"] = (_group_outputs, [_conjugate(g, p)])
+    two_generators = [_CYCLIC[2], _conjugate(_CYCLIC[3], _CONJUGATORS[2])]
+    subjects["group[2 and 3]"] = (_group_outputs, two_generators)
     return subjects
 
 
