@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import DegeneratePolytope, NotDelzant
 
@@ -94,13 +94,17 @@ class Vec2:
 ZERO_VEC = Vec2(Fraction(0), Fraction(0))
 
 
-@dataclass(frozen=True)
-class IntMat2:
+class IntMat2(NamedTuple):
     """2x2 integer matrix [[a, b], [c, d]].
 
     Column convention: the columns (a, c) and (b, d) are the images of the
     basis vectors. Corner frames store the two primitive edge directions of
     a vertex as columns, ordered so the determinant is +1.
+
+    A named tuple, so that group closures build their elements cheaply: it
+    hashes, compares, orders and iterates as the tuple (a, b, c, d), and
+    equals the plain 4-tuple with the same entries. `+` and `@` are the
+    matrix sum and product.
     """
 
     a: int

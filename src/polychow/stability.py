@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import (
     DuplicatePoint,
@@ -30,12 +30,15 @@ from .geometry import (
     area,
     canonicalize,
     moment_integral,
+    to_fraction,
 )
 from .counting import _charge_budget, lattice_moments
 from .chow import _weight
 from .blowup import Decomposition, _seam
 
-GROUP_CLOSURE_CAP = 10_000
+# every finite subgroup of SL2(Z) is cyclic of order 1, 2, 3, 4 or 6, so a
+# closure past 6 elements has shown that the group is infinite
+GROUP_CLOSURE_CAP = 6
 
 FACTORIAL_N_PLUS_1 = 6  # (n+1)! in the plane
 
@@ -78,13 +81,12 @@ class SymmetryGroup:
                 raise ValueError(
                     f"generator [[{g.a}, {g.b}], [{g.c}, {g.d}]] must have determinant one"
                 )
-        gens = [(g.a, g.b, g.c, g.d) for g in generators]
         elements = {(1, 0, 0, 1)}
         frontier = list(elements)
         while frontier:
             fresh: list[tuple[int, int, int, int]] = []
             for a, b, c, d in frontier:
-                for ga, gb, gc, gd in gens:
+                for ga, gb, gc, gd in generators:
                     product = (a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd)
                     if product not in elements:
                         elements.add(product)
@@ -92,10 +94,10 @@ class SymmetryGroup:
                         if len(elements) > GROUP_CLOSURE_CAP:
                             raise GroupClosureOverflow(
                                 f"group closure exceeds {GROUP_CLOSURE_CAP} elements; "
-                                "the generated group is probably infinite"
+                                "the generated group is infinite"
                             )
             frontier = fresh
-        return cls(frozenset(IntMat2(*m) for m in elements))
+        return cls(frozenset(map(IntMat2._make, elements)))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -212,7 +214,7 @@ class PointConfiguration:
                 raise ValueError(f"projective point needs three coordinates: {row!r}")
             if any(isinstance(c, float) for c in row):
                 raise ValueError("projective coordinates must be exact rationals")
-            fracs = [Fraction(c) for c in row]
+            fracs = [to_fraction(c) for c in row]
             common = lcm(*(c.denominator for c in fracs))
             normalized.append(_primitive_triple(tuple(int(c * common) for c in fracs)))
         return PointConfiguration(tuple(normalized))
@@ -251,10 +253,17 @@ def mukai_classify(configuration: PointConfiguration) -> MukaiResult:
     with the largest margin, ties broken by dimension then lexicographic
     coordinates.
 
-    One pass over the point pairs counts the pairs on each line: a line
-    through k points carries k(k-1)/2 of them, so no line rescans the
-    points. Margins are compared as the integer 3*incident - (dim+1)*n.
-    The n(n-1)/2 pairs are charged against the enumeration budget first.
+    A line beats the point witness only if it holds at least
+    need = (n+3)//3 + 1 points. Each anchor point j counts the lines through
+    it and the later points, so a line through m points counts m - 1 at its
+    first point and no line rescans the points. Anchor j is skipped, and
+    with it every later one, once its n - 1 - j later points are fewer than
+    the best count so far, which starts at need - 1; the lines that tie
+    with the best are kept. The search stops as soon as a line of m points
+    has n - m + 1 < need, since any other line meets it in at most one
+    point. Margins are compared as the integer 3*incident - (dim+1)*n. The
+    n(n-1)/2 pairs, a bound on the work, are charged against the
+    enumeration budget first.
     """
     points = configuration.points
     count = len(points)
@@ -263,8 +272,14 @@ def mukai_classify(configuration: PointConfiguration) -> MukaiResult:
     pairs = count * (count - 1) // 2
     _charge_budget(pairs, "incidence test compares {} point pairs", pairs)
 
-    pairs_on_line: dict[tuple[int, int, int], int] = {}
+    # every point ties at margin 3 - n; a line of m points beats it when
+    # 3m - 2n > 3 - n, that is from m = need on
+    need = (count + 3) // 3 + 1
+    best, lines = need - 1, []
     for j, (px, py, pz) in enumerate(points):
+        if count - 1 - j < best:
+            break
+        through: dict[tuple[int, int, int], int] = {}
         for qx, qy, qz in points[j + 1:]:
             a = py * qz - pz * qy
             b = pz * qx - px * qz
@@ -273,16 +288,19 @@ def mukai_classify(configuration: PointConfiguration) -> MukaiResult:
             if a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0))):
                 g = -g  # first nonzero coordinate positive, as in _primitive_triple
             line = (a // g, b // g, c // g)
-            pairs_on_line[line] = pairs_on_line.get(line, 0) + 1
+            through[line] = through.get(line, 0) + 1
+        top = max(through.values())  # best >= 1, so there is a later point
+        if top > best:
+            best, lines = top, []
+        if top == best:
+            lines += [line for line, later in through.items() if later == top]
+            if count - best < need:
+                break
 
-    # every point ties at margin 3 - n; a line wins only by a strictly larger one
-    dim, coords, incident = 0, min(points), 1
-    if pairs_on_line:
-        top_pairs = max(pairs_on_line.values())
-        on_line = (1 + isqrt(1 + 8 * top_pairs)) // 2
-        if 3 * on_line - 2 * count > 3 - count:
-            dim, incident = 1, on_line
-            coords = min(line for line, c in pairs_on_line.items() if c == top_pairs)
+    if lines:
+        dim, coords, incident = 1, min(lines), best + 1
+    else:
+        dim, coords, incident = 0, min(points), 1
     top_margin = 3 * incident - (dim + 1) * count
 
     if top_margin > 0:

@@ -248,6 +248,19 @@ class TestFo:
         assert report["group_order"] == 3
         assert report["weakly_symmetric"] is True
 
+    def test_infinite_group_file_exits_one_at_once(self, capsys, tmp_path):
+        poly = write(tmp_path, "t.json", {"vertices": [["1", "0"], ["0", "1"], ["-1", "-1"]]})
+        group = write(tmp_path, "g.json", {"generators": [[[10**20 + 1, 10**20], [1, 1]]]})
+        started = time.monotonic()
+        assert main(["fo", poly, "--group", group]) == 1
+        assert time.monotonic() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: GroupClosureOverflow: group closure exceeds 6 elements; "
+            "the generated group is infinite\n"
+        )
+
 
 class TestMukai:
     def test_stable(self, capsys, tmp_path):

@@ -267,6 +267,31 @@ class TestRationalCoercion:
         assert AffineMap.linear(text, 0, 0, 1).xx == value
 
 
+class TestIntMat2:
+    """A named tuple: field names in its repr, the hash of its entries,
+    read-only fields, and `+` and `@` as matrix operations."""
+
+    M = IntMat2(2, -1, 5, 3)
+
+    def test_repr_names_fields(self):
+        assert repr(self.M) == "IntMat2(a=2, b=-1, c=5, d=3)"
+
+    def test_hash_is_the_hash_of_its_entries(self):
+        assert hash(self.M) == hash((self.M.a, self.M.b, self.M.c, self.M.d))
+
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+    def test_fields_cannot_be_assigned(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.M, name, 0)
+
+    def test_sum_and_product_are_matrix_operations(self):
+        other = IntMat2(1, 4, -2, 0)
+        assert self.M + other == IntMat2(3, 3, 3, 3)
+        assert self.M @ other == IntMat2(4, 8, -1, 20)
+        assert isinstance(self.M + other, IntMat2) and isinstance(self.M @ other, IntMat2)
+        assert IntMat2.identity() @ self.M == self.M
+
+
 class TestTransforms:
     def test_scale_doubles_hexagon(self, hexagon):
         doubled = scale(hexagon, 2)

@@ -424,6 +424,43 @@ def test_mukai_matches_rescan_oracle(rows):
             PointConfiguration(raw)
 
 
+small_triples = st.tuples(*[st.integers(-5, 5)] * 3)
+
+
+def cross(p, q) -> tuple[int, int, int]:
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+@given(
+    small_triples, small_triples, small_triples,
+    st.sets(st.integers(-30, 30), min_size=2, max_size=24),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_mukai_matches_rescan_oracle_with_a_heavy_line(u, v, w, steps, tied, data):
+    # u + t v for distinct t are distinct points of the line through u and
+    # v; it holds at least the `need` points that let a line beat the point
+    # witness, and the order puts them anywhere. A second line u + t w of
+    # the same size sometimes ties with it.
+    assume(any(cross(u, v)) and any(cross(u, w)))
+    rows = [tuple(a + t * b for a, b in zip(u, v)) for t in steps]
+    if tied:
+        rows += [tuple(a + t * b for a, b in zip(u, w)) for t in steps]
+    rows += data.draw(st.lists(st.tuples(*[st.integers(-20, 20)] * 3), max_size=len(steps) // 2))
+    triples = list(dict.fromkeys(brute.primitive_triple(r) for r in rows if any(r)))
+    triples = data.draw(st.permutations(triples))
+    n = len(triples)
+    line = brute.primitive_triple(cross(u, v))
+    on_line = sum(1 for p in triples if sum(a * b for a, b in zip(line, p)) == 0)
+    assume(on_line >= (n + 3) // 3 + 1)
+    result = mukai_classify(PointConfiguration.of(triples))
+    got = result.witness
+    assert (result.verdict, got.dim, got.coordinates, got.incident, got.ratio, got.bound) == (
+        brute.mukai_brute(triples)
+    )
+
+
 def refused(call, *args) -> bool:
     try:
         call(*args)

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -113,6 +114,31 @@ class TestSymmetry:
     def test_infinite_group_overflows(self):
         with pytest.raises(GroupClosureOverflow):
             SymmetryGroup.generated_by([IntMat2.from_rows((1, 1), (0, 1))])
+
+    @pytest.mark.parametrize("order, generator", [
+        (2, IntMat2(-1, 0, 0, -1)),
+        (3, IntMat2(0, -1, 1, -1)),
+        (4, IntMat2(0, -1, 1, 0)),
+        (6, IntMat2(1, -1, 1, 0)),
+    ])
+    @pytest.mark.parametrize("conjugator", [
+        IntMat2(1, 0, 0, 1), IntMat2(1, 7, 0, 1), IntMat2(5, 3, 3, 2), IntMat2(-13, 8, 21, -13),
+    ])
+    def test_conjugated_cyclic_groups_close(self, order, generator, conjugator):
+        # the largest finite subgroups of SL2(Z) fit under the closure cap
+        p = conjugator
+        g = p @ generator @ IntMat2(p.d, -p.b, -p.c, p.a)
+        group = SymmetryGroup.generated_by([g])
+        assert len(group) == order
+        assert all(x @ y in group.elements for x in group.elements for y in group.elements)
+
+    def test_infinite_group_with_large_entries_refused_at_once(self):
+        # det 1 and infinite order: each power adds about 20 digits per entry
+        started = time.monotonic()
+        with pytest.raises(GroupClosureOverflow, match="^group closure exceeds 6 elements; "
+                                                       "the generated group is infinite$"):
+            SymmetryGroup.generated_by([IntMat2(10**20 + 1, 10**20, 1, 1)])
+        assert time.monotonic() - started < 1.0
 
 
 class TestCConstant:
@@ -293,6 +319,42 @@ class TestMukai:
     def test_empty_rejected(self):
         with pytest.raises(EmptyConfiguration):
             mukai_classify(PointConfiguration(()))
+
+    def test_long_exponent_refused_at_once(self):
+        started = time.monotonic()
+        with pytest.raises(OverflowError, match="^exponent beyond 4300$"):
+            config(("1e30000000", 0, 1), (0, 1, 1))
+        assert time.monotonic() - started < 1.0
+
+    @pytest.mark.parametrize("coordinate", [True, False])
+    def test_bool_coordinate_refused(self, coordinate):
+        with pytest.raises(TypeError, match="got bool"):
+            config((coordinate, 0, 1), (0, 1, 1))
+
+    def test_float_coordinate_refused(self):
+        with pytest.raises(ValueError, match="exact rationals"):
+            config((0.5, 0, 1), (0, 1, 1))
+
+    @pytest.mark.parametrize("points", [
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0)],
+        # two lines of four points sharing (1, 0, 0): n = 7, where a line
+        # of m = 4 points leaves room for another of n - m + 1 = 4
+        [(1, 0, 1), (1, 0, 2), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)],
+    ], ids=["two lines of 3", "two lines of 4"])
+    def test_tied_lines_in_every_order(self, points):
+        # the scan keeps every line that ties with the best, whichever of
+        # them it meets first
+        orders = permutations(points) if len(points) < 6 else (
+            points[k:] + points[:k] for k in range(len(points))
+        )
+        for order in orders:
+            configuration = config(*order)
+            result = mukai_classify(configuration)
+            w = result.witness
+            assert (result.verdict, w.dim, w.coordinates, w.incident, w.ratio, w.bound) == (
+                brute.mukai_brute(configuration.points)
+            )
+            assert (w.dim, w.coordinates, w.incident) == (1, (0, 0, 1), len(points) // 2 + 1)
 
     def test_duplicates_rejected(self):
         with pytest.raises(DuplicatePoint):
