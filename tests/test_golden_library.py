@@ -5,8 +5,10 @@ corpus decomposition or a group of sum-rule decompositions) to the `repr`
 of what the library returns for it: for the polygons of `CATALOG`,
 `ehrhart_poly`, `sum_poly`, `chow_poly`, `c_constant`,
 `lattice_points`, `fo_invariant` and `chow_eval` (for one fixed affine f)
-at i = 1, 2, 3, the polygon scaled by 2 and the polygon canonicalized
-from its vertices in reverse order; for `decomposition_corpus(max_count=40)`,
+at i = 1, 2, 3, the polygon scaled by 2, the polygon canonicalized
+from its vertices in reverse order, `is_centrally_symmetric`,
+`is_weakly_symmetric` with the point reflection and with each conjugated
+cyclic group below, and `lattice_moments` at i = 1, 7 and 10^6; for `decomposition_corpus(max_count=40)`,
 the base, the chopped polygon, the cut simplices, the seams, both scaled
 polygons, `df_invariants`, `chow_after_blowup`, the entries of
 `verify_blowup_theorem(d, 6)`, `verify_general_identity` at i = 1, 2, 3
@@ -57,6 +59,9 @@ from polychow import (
     df_invariants,
     ehrhart_poly,
     fo_invariant,
+    is_centrally_symmetric,
+    is_weakly_symmetric,
+    lattice_moments,
     lattice_points,
     mukai_classify,
     scale,
@@ -95,6 +100,12 @@ def _polygon_outputs(polygon) -> dict[str, str]:
         out[f"chow_eval {i}"] = repr(chow_eval(polygon, F, i))
     out["scale 2"] = repr(scale(polygon, 2))
     out["canonicalize reversed"] = repr(canonicalize(reversed(polygon.vertices)))
+    out["is_centrally_symmetric"] = repr(is_centrally_symmetric(polygon))
+    out["is_weakly_symmetric point reflection"] = repr(is_weakly_symmetric(polygon, _REFLECTION))
+    for name, group in _CYCLIC_GROUPS.items():
+        out[f"is_weakly_symmetric {name}"] = repr(is_weakly_symmetric(polygon, group))
+    for i in (1, 7, 10**6):
+        out[f"lattice_moments {i}"] = _outcome(lattice_moments, polygon, i)
     return out
 
 
@@ -199,6 +210,15 @@ _CONJUGATORS = [
 def _conjugate(g: IntMat2, p: IntMat2) -> IntMat2:
     """p g p^-1 for p of determinant one."""
     return p @ g @ IntMat2(p.d, -p.b, -p.c, p.a)
+
+
+_REFLECTION = SymmetryGroup.generated_by([IntMat2(-1, 0, 0, -1)])
+# the closure of each conjugated cyclic generator, keyed as its group subject
+_CYCLIC_GROUPS = {
+    f"group[{order}, {n}]": SymmetryGroup.generated_by([_conjugate(g, p)])
+    for order, g in _CYCLIC.items()
+    for n, p in enumerate(_CONJUGATORS)
+}
 
 
 def _subjects() -> dict[str, tuple]:
