@@ -56,7 +56,7 @@ from .geometry import (
     scale,
     to_fraction,
 )
-from .chow import _weight, chow_poly
+from .chow import _polygon_weight, _weight, chow_poly
 from .counting import VecPoly, _counting_and_sum_polys, lattice_moments
 
 
@@ -374,8 +374,8 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     The right side is the Chow weight of the scaled chopped polygon
     computed from its own lattice points; nothing is shared with the
     closed-form route. The polygon is a lattice polygon (scale 1), so the
-    weight is `chow._weight` of its integer measures and of the (count,
-    sum of x, sum of y) of the i-th dilation, over 6i.
+    weight is `chow._polygon_weight` of it and of the (count, sum of x,
+    sum of y) of the i-th dilation, over 6i.
     The identity side, `chow_after_blowup` with c2 included, is brought
     over one denominator per coordinate once, so at each i both sides are
     integer numerators compared by cross-multiplying, and one Fraction per
@@ -388,8 +388,6 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     d = decomposition
     identity_side = chow_after_blowup(d)
     target = d.scaled_chopped()
-    form = target.integer
-    vol6 = 3 * form.twice_area  # scale 1
     # the identity side per coordinate: c2, c1 and c0 over one denominator
     (x2, x1, x0), qx = _over_common_denominator(
         identity_side.c2.x, identity_side.c1.x, identity_side.c0.x
@@ -401,7 +399,7 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     for i in range(1, i_max + 1):
         # the identity side over qx and qy, the enumerated side over 6i
         lx, ly = (x2 * i + x1) * i + x0, (y2 * i + y1) * i + y0
-        ex, ey = _weight(vol6, form.moment, lattice_moments(target, i), i)
+        ex, ey, _ = _polygon_weight(target, lattice_moments(target, i), i)
         rhs = Vec2(Fraction(ex, 6 * i), Fraction(ey, 6 * i))
         if lx * 6 * i == ex * qx and ly * 6 * i == ey * qy:
             entries.append((i, rhs, rhs))
@@ -469,6 +467,5 @@ def verify_general_identity(decomposition: Decomposition, f: AffineMap, i: int) 
         my -= part.moment[1] * up**3
     wx, wy = _weight(3 * a2, (mx, my), (count, sx, sy), i)
     target = d.scaled_chopped()
-    form = target.integer
-    cx, cy = _weight(3 * form.twice_area, form.moment, lattice_moments(target, i), i)
+    cx, cy, _ = _polygon_weight(target, lattice_moments(target, i), i)
     return f.linear_apply(Vec2(Fraction(wx - cx, 6 * i), Fraction(wy - cy, 6 * i)))

@@ -46,16 +46,23 @@ def _weight(
     return vol6 * sx - i * count * mx, vol6 * sy - i * count * my
 
 
+def _polygon_weight(polygon: Polygon, moments: tuple, i: int) -> tuple[int, int, int]:
+    """(wx, wy, vol6): `_weight` of a polygon's own integer measures, with
+    vol6 = 3 L twice_area, and its enumerated moments at dilation i. Every
+    caller with a polygon reduces its Chow weight here."""
+    form = polygon.integer
+    vol6 = 3 * form.scale * form.twice_area
+    return (*_weight(vol6, form.moment, moments, i), vol6)
+
+
 def chow_eval(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
     """Chow weight at dilation i, by direct enumeration.
 
     The constant part of f cancels between the two terms, so the weight is
-    f_linear of the coordinate weight, `_weight` over 6 L^3 i.
+    f_linear of the coordinate weight, `_polygon_weight` over 6 L^3 i.
     """
-    form = polygon.integer
-    vol6 = 3 * form.scale * form.twice_area
-    wx, wy = _weight(vol6, form.moment, lattice_moments(polygon, i), i)
-    denominator = 6 * form.scale**3 * i
+    wx, wy, _ = _polygon_weight(polygon, lattice_moments(polygon, i), i)
+    denominator = 6 * polygon.integer.scale**3 * i
     return f.linear_apply(Vec2(Fraction(wx, denominator), Fraction(wy, denominator)))
 
 

@@ -4,8 +4,8 @@ Enumeration is the single source of truth here. Each row of a dilation
 runs from a floor bound on its left chain edge to one on its right edge.
 The polygon's integer form holds the chains of the first dilation, built
 by its constructor's edge loop; one kernel entry, `_charge_rows`, charges
-the rows of the i-th dilation and scales the chains to it, and
-`lattice_moments` sums the bounds edge by edge with floor sums into
+the rows of the i-th dilation and hands out each chain edge's span of rows,
+and `lattice_moments` sums the bounds span by span with floor sums into
 (count, sum of x, sum of y), in O(log) steps per edge and without visiting
 a row. Every count or sum below is one call to it. `lattice_points` takes
 its count from the same floor sums, is charged for rows plus points before
@@ -33,12 +33,12 @@ from .geometry import (
     Polygon,
     Vec2,
     ZERO_VEC,
-    _Edge,
     is_lattice,
 )
 
 MAX_ENUM_ENV = "POLYCHOW_MAX_ENUM"
 DEFAULT_MAX_ENUM = 10**8
+_Span = tuple[int, int, int, int, int]  # (y0, y1, a, c, b), see `_charge_rows`
 
 
 @lru_cache(maxsize=1)
@@ -97,13 +97,13 @@ class VecPoly:
         return self.c2 == ZERO_VEC and self.c1 == ZERO_VEC and self.c0 == ZERO_VEC
 
 
-def _charge_rows(polygon: Polygon, i: int) -> tuple[range, list[_Edge], list[_Edge]]:
+def _charge_rows(polygon: Polygon, i: int) -> tuple[range, list[_Span], list[_Span]]:
     """The rows of the i-th dilation, every integer y between its lowest and
     highest vertex, charged to the budget before any work on them, and its
-    right and left chains, each edge as (L*y of its top vertex, a, c, b),
-    sorted bottom to top. Every count, sum or listing of a dilation starts
-    here, once; the rows bound the size of the input, whether or not they
-    are visited.
+    right and left chains, each edge once as the span (y0, y1, a, c, b) of
+    the rows y0 .. y1 it bounds, bottom to top. Every count, sum or listing
+    of a dilation starts here, once; the rows bound the size of the input,
+    whether or not they are visited.
 
     The polygon's integer form (its vertices scaled by the lcm L of their
     denominators) holds the heights and the chains of the first dilation;
@@ -112,8 +112,8 @@ def _charge_rows(polygon: Polygon, i: int) -> tuple[range, list[_Edge], list[_Ed
     -((a + c*y) // b) on its left edge. Dilating by i multiplies the
     vertices and the tops by i, a by i^2 and c and b by i; as
     (i^2*a + i*c*y) // (i*b) = (i*a + c*y) // b, only the tops and the
-    offsets a are scaled here. An edge bounds the rows above the top of the
-    edge below it, up to its own top row.
+    offsets a are scaled here. An edge bounds the rows above the span of the
+    edge below it, up to its own top row i*top // L (none when y1 < y0).
     """
     if i < 1:
         raise ValueError("dilation factor must be a positive integer")
@@ -123,9 +123,14 @@ def _charge_rows(polygon: Polygon, i: int) -> tuple[range, list[_Edge], list[_Ed
     # the row count as stop - start: len() overflows past sys.maxsize rows
     n = rows.stop - rows.start
     _charge_budget(n, "enumeration scans {} rows", n)
-    right = [(top * i, a * i, c, b) for top, a, c, b in form.right]
-    left = [(top * i, a * i, c, b) for top, a, c, b in form.left]
-    return rows, right, left
+    spans: tuple[list[_Span], list[_Span]] = ([], [])
+    for chain, out in zip((form.right, form.left), spans):
+        y0 = rows.start
+        for top, a, c, b in chain:
+            y1 = top * i // form.scale
+            out.append((y0, y1, a * i, c, b))
+            y0 = y1 + 1
+    return rows, *spans
 
 
 def _floor_sums(a: int, c: int, b: int, n: int) -> tuple[int, int, int]:
@@ -159,11 +164,9 @@ def _floor_sums(a: int, c: int, b: int, n: int) -> tuple[int, int, int]:
     return s, q, t
 
 
-def _moments(
-    scale_l: int, rows: range, right: list[_Edge], left: list[_Edge]
-) -> tuple[int, int, int]:
+def _moments(rows: range, right: list[_Span], left: list[_Span]) -> tuple[int, int, int]:
     """(count, sum of x, sum of y) over the rows, from floor sums over each
-    chain edge's rows y0 .. y1.
+    chain edge's span of rows y0 .. y1, as `_charge_rows` hands them out.
 
     Row y runs from first = -G(y) to last = F(y), the bounds of its left
     and right edges, and F + G + 1 = last - first + 1 >= 0 on every row of
@@ -176,9 +179,7 @@ def _moments(
     n = rows.stop - rows.start
     count, sx2, sy = n, 0, (rows.start + rows.stop - 1) * n // 2
     for chain, sign in ((right, 1), (left, -1)):
-        y0 = rows.start
-        for top, a, c, b in chain:
-            y1 = top // scale_l
+        for y0, y1, a, c, b in chain:
             try:
                 f, f2, tf = _floor_sums(a + c * y0, c, b, y1 - y0 + 1)
             except RecursionError:
@@ -188,38 +189,34 @@ def _moments(
             count += f
             sx2 += sign * (f2 + f)
             sy += y0 * f + tf
-            y0 = y1 + 1
     return count, sx2 // 2, sy
 
 
 def lattice_moments(polygon: Polygon, i: int) -> tuple[int, int, int]:
     """(count, sum of x, sum of y) over the integer points of the i-th
-    dilation, from floor sums over each chain edge's rows; no row is visited
-    and no point list is built."""
-    return _moments(polygon.integer.scale, *_charge_rows(polygon, i))
+    dilation, from floor sums over each chain edge's span of rows; no row
+    is visited and no point list is built."""
+    return _moments(*_charge_rows(polygon, i))
 
 
 def lattice_points(polygon: Polygon, i: int) -> list[tuple[int, int]]:
     """All integer points of the i-th dilation, lexicographically sorted.
     The floor sums count the points first, and the rows plus the points are
     charged to the budget before any row is visited; then each chain edge
-    gives the bound of its rows y0 .. y1, one floor division per row. Rows
+    gives the bound of each row of its span y0 .. y1 from `_charge_rows`,
+    one floor division per row. Rows
     are visited bottom to top into per-column lists, joined by sorted x:
     no sort of the points. Columns are keyed by x, as a thin slanted
     polygon can be far wider than its rows plus points."""
-    scale_l = polygon.integer.scale
     rows, right, left = _charge_rows(polygon, i)
-    count = _moments(scale_l, rows, right, left)[0]
+    count = _moments(rows, right, left)[0]
     n = rows.stop - rows.start
     _charge_budget(n + count, "point listing scans {} rows plus {} points", n, count)
     f_rows: list[int] = []  # F(y), the last point of each row
     g_rows: list[int] = []  # G(y), minus the first point of each row
     for chain, bounds in ((right, f_rows), (left, g_rows)):
-        y0 = rows.start
-        for top, a, c, b in chain:
-            y1 = top // scale_l
+        for y0, y1, a, c, b in chain:
             bounds += [(a + c * y) // b for y in range(y0, y1 + 1)]
-            y0 = y1 + 1
     # a row without points has F + G = -1 and adds nothing
     columns: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     for y, f, g in zip(rows, f_rows, g_rows):

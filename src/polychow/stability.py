@@ -28,12 +28,11 @@ from .geometry import (
     Vec2,
     ZERO_VEC,
     area,
-    canonicalize,
     moment_integral,
     to_fraction,
 )
 from .counting import _charge_budget, lattice_moments
-from .chow import _weight
+from .chow import _polygon_weight
 from .blowup import Decomposition, _seam
 
 # every finite subgroup of SL2(Z) is cyclic of order 1, 2, 3, 4 or 6, so a
@@ -45,26 +44,23 @@ FACTORIAL_N_PLUS_1 = 6  # (n+1)! in the plane
 
 def fo_invariant(polygon: Polygon, i: int) -> Vec2:
     """Average of the sample points minus the barycenter, at dilation i:
-    the Chow weight of the coordinate function over Vol * count."""
-    return _fo_from_moments(polygon, i, lattice_moments(polygon, i))
-
-
-def _fo_from_moments(polygon: Polygon, i: int, moments: tuple[int, int, int]) -> Vec2:
-    """`chow._weight` is 6 L^3 i times the Chow weight and its vol6 is
+    the Chow weight of the coordinate function over Vol * count.
+    `chow._polygon_weight` is 6 L^3 i times the Chow weight and its vol6 is
     6 L^3 Vol, so the invariant is the weight over vol6 i count."""
+    moments = lattice_moments(polygon, i)
     count = moments[0]
     if count == 0:
         raise HypothesisNotMet(f"no sample points at dilation {i}")
-    form = polygon.integer
-    vol6 = 3 * form.scale * form.twice_area
-    wx, wy = _weight(vol6, form.moment, moments, i)
+    wx, wy, vol6 = _polygon_weight(polygon, moments, i)
     denominator = vol6 * i * count
     return Vec2(Fraction(wx, denominator), Fraction(wy, denominator))
 
 
 def is_centrally_symmetric(polygon: Polygon) -> bool:
-    """True when the polygon equals its own point reflection through 0."""
-    return canonicalize([-v for v in polygon.vertices]) == polygon
+    """True when the polygon equals its own point reflection through 0:
+    when its integer vertex set is, as the reflection commutes with L."""
+    vertices = polygon.integer.vertices
+    return set(vertices) == {(-x, -y) for x, y in vertices}
 
 
 @dataclass(frozen=True)
@@ -112,10 +108,10 @@ class SymmetryGroup:
 def is_weakly_symmetric(polygon: Polygon, group: SymmetryGroup) -> bool:
     """True when every group element permutes the vertex set and the sum of
     the group elements is the zero matrix (so group-averaging annihilates
-    every point of the polygon)."""
-    vertex_set = frozenset(polygon.vertices)
-    for g in group.elements:
-        if frozenset(g.apply(v) for v in vertex_set) != vertex_set:
+    every point of the polygon), compared on the integer vertex set."""
+    vertex_set = set(polygon.integer.vertices)
+    for a, b, c, d in group.elements:
+        if {(a * x + b * y, c * x + d * y) for x, y in vertex_set} != vertex_set:
             return False
     return group.element_sum().is_zero()
 
@@ -148,7 +144,8 @@ def sum_rule_residuals(decomposition: Decomposition) -> dict[str, Fraction]:
             f"the sum rule needs a lattice chopped polygon (k=1), got k={d.k}"
         )
     base = lattice_moments(d.base, 1)
-    if _fo_from_moments(d.base, 1, base) != ZERO_VEC:
+    # a lattice base has points: its invariant vanishes with its weight
+    if _polygon_weight(d.base, base, 1)[:2] != (0, 0):
         raise HypothesisNotMet("the base polygon's averaged-point invariant must vanish")
     count, sx, sy = lattice_moments(d.chopped, 1)
     c_base = Fraction(base[0]) / area(d.base)
