@@ -122,7 +122,13 @@ class IntMat2(NamedTuple):
 
     @classmethod
     def from_rows(cls, row1: Sequence[int], row2: Sequence[int]) -> "IntMat2":
-        return cls(int(row1[0]), int(row1[1]), int(row2[0]), int(row2[1]))
+        """The matrix with rows row1 and row2. An entry that is not an int,
+        or is a bool, raises TypeError rather than being truncated."""
+        entries = (row1[0], row1[1], row2[0], row2[1])
+        for entry in entries:
+            if not isinstance(entry, int) or isinstance(entry, bool):
+                raise TypeError(f"expected an integer matrix entry, got {type(entry).__name__}")
+        return cls(*entries)
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c

@@ -42,9 +42,12 @@ def parse_rational(value, where: str) -> Fraction:
 
 
 def _load_json(path: str | Path) -> object:
+    """The JSON value held by the file. A file that cannot be read, is not
+    UTF-8 or is not JSON, or holds an integer past the interpreter's
+    4300-digit limit, raises ParseError naming the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -52,6 +55,8 @@ def _load_json(path: str | Path) -> object:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # the integer digit limit
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _load_list(path: str | Path, key: str, min_length: int, requirement: str) -> list:

@@ -375,6 +375,49 @@ class TestLongNumbers:
         assert captured.err.startswith("error: ParseError: ") and "depth" in captured.err
 
 
+class TestUndecodableFiles:
+    """A file that is not UTF-8, or holds a JSON integer past the
+    interpreter's 4300-digit limit, gives one ParseError line naming the
+    file, whichever loader reads it."""
+
+    LONG = "1" + "0" * 5000
+    TEXTS = {
+        "info": '{"vertices": [[%s, "0"], ["1", "0"], ["0", "1"]]}' % LONG,
+        "blowup": '{"cuts": [{"vertex": [%s, "0"], "depth": "1"}]}' % LONG,
+        "mukai": '{"points": [[%s, "0", "1"]]}' % LONG,
+        "fo": '{"generators": [[[%s, 0], [0, 1]]]}' % LONG,
+    }
+
+    @staticmethod
+    def argv(command, path, hexagon_file):
+        if command == "blowup":
+            return ["blowup", hexagon_file, "--cuts", path]
+        if command == "fo":
+            return ["fo", hexagon_file, "--group", path]
+        return [command, path]
+
+    def check(self, capsys, argv, path, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: ParseError: {path}: {message}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", list(TEXTS))
+    def test_file_not_utf8(self, capsys, tmp_path, hexagon_file, command):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff{}")
+        message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        self.check(capsys, self.argv(command, str(path), hexagon_file), path, message)
+
+    @pytest.mark.parametrize("command", list(TEXTS))
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path, hexagon_file, command):
+        path = tmp_path / "long.json"
+        path.write_text(self.TEXTS[command], encoding="utf-8")
+        message = "Exceeds the limit (4300 digits) for integer string conversion"
+        self.check(capsys, self.argv(command, str(path), hexagon_file), path, message)
+
+
 class TestLongValuesInErrors:
     """A parse error echoes at most about 60 characters of the offending
     value, so a huge value still gives one short error line."""

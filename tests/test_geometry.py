@@ -291,6 +291,19 @@ class TestIntMat2:
         assert isinstance(self.M + other, IntMat2) and isinstance(self.M @ other, IntMat2)
         assert IntMat2.identity() @ self.M == self.M
 
+    def test_from_rows_keeps_integer_entries(self):
+        assert IntMat2.from_rows((2, -1), [5, 3]) == self.M
+
+    @pytest.mark.parametrize(
+        "entry", [0.99, Fraction(3, 2), "7", True], ids=["float", "Fraction", "str", "bool"]
+    )
+    def test_from_rows_refuses_a_non_integer_entry(self, entry):
+        # int() would truncate 0.99 to 0, giving the order-3 generator
+        with pytest.raises(TypeError):
+            IntMat2.from_rows((entry, -1), (1, -1))
+        with pytest.raises(TypeError):
+            IntMat2.from_rows((0, -1), (1, entry))
+
 
 class TestTransforms:
     def test_scale_doubles_hexagon(self, hexagon):

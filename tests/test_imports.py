@@ -1,5 +1,6 @@
 """Every name a library or test module imports is used in that module,
-every module-level private function is used somewhere in the library,
+every module-level private function of a library or test module is used
+somewhere in the library or in the tests respectively,
 every module-level public function is exported or used somewhere in the
 library, and every module-level constant of a library module is read
 somewhere in the library.
@@ -86,15 +87,18 @@ def test_no_unused_imports(path):
     assert sorted(_imported_names(tree) - used) == []
 
 
-def _functions_and_uses() -> tuple[set[str], set[str]]:
-    """Module-level function names of the library modules (dunders left
-    out), and the names they use outside the body of the function of the
-    same name, so that a function that only calls itself counts as unused.
-    `__init__.py`, whose imports only re-export, is left out."""
+def _functions_and_uses(
+    directory: Path = PACKAGE, modules: list[str] = MODULES
+) -> tuple[set[str], set[str]]:
+    """Module-level function names of the modules in the directory, by
+    default the library's (dunders left out), and the names they use
+    outside the body of the function of the same name, so that a function
+    that only calls itself counts as unused. `__init__.py`, whose imports
+    only re-export, is left out of the library's modules."""
     defined: set[str] = set()
     used: set[str] = set()
-    for module in MODULES:
-        for node in _tree(PACKAGE / module).body:
+    for module in modules:
+        for node in _tree(directory / module).body:
             owner = None
             if isinstance(node, ast.FunctionDef):
                 if not node.name.startswith("__"):
@@ -118,6 +122,13 @@ def test_no_dead_private_functions():
     defined, used = _functions_and_uses()
     private = {name for name in defined if name.startswith("_")}
     assert "_charge_rows" in private
+    assert sorted(private - used) == []
+
+
+def test_no_dead_private_test_helpers():
+    defined, used = _functions_and_uses(TESTS, TEST_MODULES)
+    private = {name for name in defined if name.startswith("_")}
+    assert {"_vertex_hash", "_outcome"} <= private
     assert sorted(private - used) == []
 
 

@@ -13,8 +13,10 @@ from polychow import (
     AffineMap,
     DegeneratePolytope,
     EnumerationLimitExceeded,
+    IntMat2,
     PointConfiguration,
     Polygon,
+    SymmetryGroup,
     Vec2,
     apply_affine,
     area,
@@ -28,7 +30,9 @@ from polychow import (
     df_invariants,
     ehrhart_eval,
     ehrhart_poly,
+    is_centrally_symmetric,
     is_delzant,
+    is_weakly_symmetric,
     lattice_moments,
     lattice_points,
     moment_integral,
@@ -507,3 +511,60 @@ def test_cap_bounds_incidence_pairs(rows):
         for cap in {pairs - 1, pairs} - {-1, 0}:
             mp.setenv("POLYCHOW_MAX_ENUM", str(cap))
             assert refused(mukai_classify, configuration) == (pairs > cap)
+
+
+# a generator of each finite cyclic subgroup of SL2(Z), up to conjugacy
+CYCLIC = {
+    2: IntMat2(-1, 0, 0, -1),
+    3: IntMat2(0, -1, 1, -1),
+    4: IntMat2(0, -1, 1, 0),
+    6: IntMat2(1, -1, 1, 0),
+}
+REFLECTION = SymmetryGroup.generated_by([CYCLIC[2]])
+
+
+def _maps_onto_itself(polygon: Polygon, g: IntMat2) -> bool:
+    """The definition: the canonical hull of the mapped Fraction vertices
+    is the polygon itself."""
+    return canonicalize([g.apply(v) for v in polygon.vertices]) == polygon
+
+
+def _weakly_symmetric_by_definition(polygon: Polygon, group: SymmetryGroup) -> bool:
+    return (
+        all(_maps_onto_itself(polygon, g) for g in group.elements)
+        and group.element_sum().is_zero()
+    )
+
+
+@given(
+    st.lists(st.tuples(RATIONAL, RATIONAL), min_size=1, max_size=6),
+    st.sampled_from(sorted(CYCLIC)),
+    st.integers(0, 3),
+    st.integers(0, 10**6),
+    st.sampled_from(["plain", "with its reflection", "orbit"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_symmetry_predicates_match_their_definitions(points, order, factors, seed, build):
+    # the closure of a conjugated cyclic generator, and a polygon that is a
+    # random hull, the hull of P and -P, or the hull of the group orbit of P
+    p = random_unimodular(random.Random(seed), factors)
+    generator = p @ CYCLIC[order] @ IntMat2(p.d, -p.b, -p.c, p.a)
+    group = SymmetryGroup.generated_by([generator])
+    vecs = [Vec2(x, y) for x, y in points]
+    if build == "with its reflection":
+        vecs += [-v for v in vecs]
+    elif build == "orbit":
+        vecs = [g.apply(v) for g in group.elements for v in vecs]
+    try:
+        polygon = canonicalize(vecs)
+    except DegeneratePolytope:
+        assume(False)
+    central = is_centrally_symmetric(polygon)
+    assert central == _maps_onto_itself(polygon, CYCLIC[2])
+    assert is_weakly_symmetric(polygon, REFLECTION) == central
+    assert is_weakly_symmetric(polygon, group) == _weakly_symmetric_by_definition(polygon, group)
+    # the built cases are symmetric, so both answers are exercised
+    if build == "with its reflection":
+        assert central
+    elif build == "orbit":
+        assert is_weakly_symmetric(polygon, group)
