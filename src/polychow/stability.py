@@ -57,8 +57,8 @@ def fo_invariant(polygon: Polygon, i: int) -> Vec2:
 
 
 def is_centrally_symmetric(polygon: Polygon) -> bool:
-    """True when the polygon equals its own point reflection through 0:
-    when its integer vertex set is, as the reflection commutes with L."""
+    """True when the polygon equals its own point reflection through 0,
+    read on the integer vertex set: the reflection commutes with L."""
     vertices = polygon.integer.vertices
     return set(vertices) == {(-x, -y) for x, y in vertices}
 

@@ -291,9 +291,6 @@ class TestIntMat2:
         assert isinstance(self.M + other, IntMat2) and isinstance(self.M @ other, IntMat2)
         assert IntMat2.identity() @ self.M == self.M
 
-    def test_from_rows_keeps_integer_entries(self):
-        assert IntMat2.from_rows((2, -1), [5, 3]) == self.M
-
     @pytest.mark.parametrize(
         "entry", [0.99, Fraction(3, 2), "7", True], ids=["float", "Fraction", "str", "bool"]
     )
