@@ -10,18 +10,23 @@ from its vertices in reverse order, `is_centrally_symmetric`,
 `is_weakly_symmetric` with the point reflection and with each conjugated
 cyclic group below, and `lattice_moments` at i = 1, 7 and 10^6; for `decomposition_corpus(max_count=40)`,
 the base, the chopped polygon, the cut simplices, the seams, both scaled
-polygons, `df_invariants`, `chow_after_blowup`, the entries of
+polygons, k, m, the frames, A, B, the Delzant flag, `df_invariants`, `chow_after_blowup`, the entries of
 `verify_blowup_theorem(d, 6)`, `verify_general_identity` at i = 1, 2, 3
 for the same f, `lattice_points` of the (rational) chopped polygon at
 i = 1, 2, 3, and both sum-rule functions; and for every balanced base of
 `delzant_corpus(size=20)` scaled by 1, 2 or 3, both sum-rule functions on
-each decomposition cutting one or two corners at depth 1 or 2; for fixed
+each decomposition cutting one or two corners at depth 1 or 2; for the
+rational heptagon, octagon and nonagon of `tests/conftest.py`, the same
+decomposition outputs, or the refusal, of a cut at each of their first
+three vertices at depth 1/6, 1/4 and 1/3, and of two octagon cuts; for fixed
 point configurations of the plane (a heavy line's points placed first,
 last or interleaved, two tied heavy lines, a line of exactly 2n/3 points,
 all points on one line, n = 1, 2 and 3, a grid and generic points),
 `mukai_classify`; and for each cyclic generator of order 2, 3, 4 and 6
 conjugated by fixed unimodular matrices, `SymmetryGroup.generated_by`,
-whose frozenset order also pins the hash of `IntMat2`. A `repr`
+whose frozenset order also pins the hash of `IntMat2`, with the hull of
+the orbit of a fixed triangle under that group, `is_weakly_symmetric` on
+it, its `fo_invariant` at i = 1, 2, 3 and its `chow_poly`. A `repr`
 pins values and types alike: every coefficient must stay a `Fraction`.
 Where a call raises, the exception's type and message are recorded.
 
@@ -71,6 +76,7 @@ from polychow import (
     verify_blowup_theorem,
     verify_general_identity,
 )
+from polychow.replicate import HEXAGON
 
 GOLDEN = Path(__file__).parent / "golden" / "library_repr.json"
 
@@ -124,6 +130,12 @@ def _decomposition_outputs(d) -> dict[str, str]:
         "seams": repr(d.seams),
         "scaled_base": repr(d.scaled_base()),
         "scaled_chopped": repr(d.scaled_chopped()),
+        "k": repr(d.k),
+        "m": repr(d.m),
+        "frames": repr(d.frames),
+        "a_const": repr(d.a_const),
+        "b_const": repr(d.b_const),
+        "chopped_scaled_delzant": repr(d.chopped_scaled_delzant),
         "df_invariants": repr(df_invariants(d)),
         "chow_after_blowup": repr(chow_after_blowup(d)),
         "verify_blowup_theorem 6": repr(verify_blowup_theorem(d, 6).entries),
@@ -134,6 +146,15 @@ def _decomposition_outputs(d) -> dict[str, str]:
         out[f"chopped lattice_points {i}"] = repr(lattice_points(d.chopped, i))
     out.update(_sum_rule_outputs(d))
     return out
+
+
+def _cut_outputs(base, cuts) -> dict[str, str]:
+    """`_decomposition_outputs` of the chop, or the refusal it raises."""
+    try:
+        d = chop_corners(base, cuts)
+    except PolychowError:
+        return {"chop_corners": _outcome(chop_corners, base, cuts)}
+    return _decomposition_outputs(d)
 
 
 def _sum_rule_sweep_outputs(scaled) -> dict[str, str]:
@@ -221,6 +242,36 @@ _CYCLIC_GROUPS = {
 }
 
 
+# the triangle whose orbit under each cyclic group spans a symmetric hull
+_TRIANGLE = [Vec2.of(1, 0), Vec2.of(2, 1), Vec2.of(0, 3)]
+
+
+def _cyclic_group_outputs(name: str, generator: IntMat2) -> dict[str, str]:
+    """`_group_outputs` of one generator, and the symmetry tests on the hull
+    of the orbit of `_TRIANGLE` under its group."""
+    out = _group_outputs([generator])
+    group = _CYCLIC_GROUPS[name]
+    hull = canonicalize(g.apply(v) for g in group.elements for v in _TRIANGLE)
+    out["orbit hull"] = repr(hull)
+    out["orbit hull is_weakly_symmetric"] = repr(is_weakly_symmetric(hull, group))
+    for i in (1, 2, 3):
+        out[f"orbit hull fo_invariant {i}"] = _outcome(fo_invariant, hull, i)
+    out["orbit hull chow_poly"] = repr(chow_poly(hull))
+    return out
+
+
+def _rational_bases() -> dict[str, object]:
+    """The heptagon, octagon and nonagon of `tests/conftest.py`, at scales 2,
+    2 and 4."""
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    heptagon = chop_corners(HEXAGON, [CornerCut.of((0, 2), half)]).chopped
+    octagon = chop_corners(
+        HEXAGON, [CornerCut.of((0, 2), half), CornerCut.of((2, 0), half)]
+    ).chopped
+    nonagon = chop_corners(octagon, [CornerCut.of((1, 2), quarter)]).chopped
+    return {"heptagon": heptagon, "octagon": octagon, "nonagon": nonagon}
+
+
 def _subjects() -> dict[str, tuple]:
     subjects: dict[str, tuple] = {}
     for n, polygon in enumerate(CATALOG):
@@ -233,11 +284,23 @@ def _subjects() -> dict[str, tuple]:
             scaled = scale(base, factor)
             if fo_invariant(scaled, 1) == zero:
                 subjects[f"sum_rule[{n}, {factor}]"] = (_sum_rule_sweep_outputs, scaled)
+    bases = _rational_bases()
+    for name, base in bases.items():
+        for vertex in base.vertices[:3]:
+            for depth in (Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)):
+                key = f"rational[{name}, {vertex.text()} at {depth}]"
+                subjects[key] = (_cut_outputs, base, [CornerCut(vertex, depth)])
+    octagon = bases["octagon"]
+    for depths in ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 6))):
+        cuts = [CornerCut(v, t) for v, t in zip(octagon.vertices, depths)]
+        key = "; ".join(f"{c.vertex.text()} at {c.depth}" for c in cuts)
+        subjects[f"rational[octagon, {key}]"] = (_cut_outputs, octagon, cuts)
     for name, rows in _MUKAI_CONFIGURATIONS.items():
         subjects[f"mukai[{name}]"] = (_mukai_outputs, rows)
     for order, g in _CYCLIC.items():
         for n, p in enumerate(_CONJUGATORS):
-            subjects[f"group[{order}, {n}]"] = (_group_outputs, [_conjugate(g, p)])
+            name = f"group[{order}, {n}]"
+            subjects[name] = (_cyclic_group_outputs, name, _conjugate(g, p))
     two_generators = [_CYCLIC[2], _conjugate(_CYCLIC[3], _CONJUGATORS[2])]
     subjects["group[2 and 3]"] = (_group_outputs, two_generators)
     return subjects
@@ -254,8 +317,8 @@ def golden() -> dict[str, dict[str, str]]:
 @pytest.mark.parametrize("name", list(_SUBJECTS))
 def test_library_repr_matches_golden(name, golden, monkeypatch):
     monkeypatch.delenv("POLYCHOW_MAX_ENUM", raising=False)
-    outputs, subject = _SUBJECTS[name]
-    assert outputs(subject) == golden[name]
+    outputs, *subject = _SUBJECTS[name]
+    assert outputs(*subject) == golden[name]
 
 
 def test_golden_covers_every_subject(golden):
@@ -264,7 +327,7 @@ def test_golden_covers_every_subject(golden):
 
 def _regenerate() -> None:
     os.environ.pop("POLYCHOW_MAX_ENUM", None)
-    data = {name: outputs(subject) for name, (outputs, subject) in _SUBJECTS.items()}
+    data = {name: outputs(*subject) for name, (outputs, *subject) in _SUBJECTS.items()}
     GOLDEN.write_text(json.dumps(data, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
