@@ -17,8 +17,8 @@ and verifies the identity against direct enumeration on the chopped
 polygon. The verification is the module's reason to exist: the closed-form
 route and the enumeration route are kept fully independent.
 
-Every sum in the identity is an integer: the seam points at one common
-scale, k*v, the depths m, the frame column sums, A and B, and the scaled
+Every sum in the identity is an integer: the seam points at scale k,
+k*v, the depths m, the frame column sums, A and B, and the scaled
 polygons' integer forms (twice the area, 6 * the moment, 2 * the boundary
 moment, 12 * the point-sum constant) and enumerated moments. So the
 decomposition, the invariants and both verifications work in ints and
@@ -52,7 +52,6 @@ from .geometry import (
     corner_frame,
     denominator_lcm,
     is_delzant,
-    is_lattice,
     scale,
     to_fraction,
 )
@@ -106,6 +105,8 @@ class Decomposition:
     # k * base and k * chopped, built once by chop_corners
     _scaled_base: Polygon = field(repr=False, compare=False)
     _scaled_chopped: Polygon = field(repr=False, compare=False)
+    # each cut's (k*v, k*q, k*r) as integer pairs: its vertex and its seam
+    _cut_points: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
 
     def scaled_base(self) -> Polygon:
         return self._scaled_base
@@ -140,7 +141,7 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
 
     The seam points, the cut simplices, the hull walk of the chopped
     polygon and the scaled polygons are computed on integer vertices at
-    one common scale; only the seams are returned as Fraction points.
+    scale k; the seams are returned as Fraction points and as integers.
     """
     cuts = tuple(cuts)
     indices: list[int] = []
@@ -156,17 +157,22 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
 
     frames = tuple(corner_frame(base, idx) for idx in indices)
 
-    # the base's vertices and the seam points as integer pairs at one
-    # common scale, the lcm of the base's scale and the depths' denominators
+    # The base's vertices and the seam points as integer pairs at scale k,
+    # the lcm of the base's scale and the depths' denominators. It is the
+    # least lattice multiple L of the chopped polygon: the chopped vertices
+    # are integral at k, so L divides k. At L each seam depth*(p - n) is
+    # integral, and p - n is primitive as the frame (n, p) has det 1, so
+    # L*depth is an integer; every base vertex, uncut or a seam point less
+    # depth*n, is then integral at L, so k divides L.
     form = base.integer
-    common = lcm(form.scale, *(cut.depth.denominator for cut in cuts))
-    up = common // form.scale
+    k = lcm(form.scale, *(cut.depth.denominator for cut in cuts))
+    up = k // form.scale
     verts = [(x * up, y * up) for x, y in form.vertices]
     n = len(verts)
+    m = tuple(cut.depth.numerator * (k // cut.depth.denominator) for cut in cuts)
     seam_points: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-    for idx, cut, frame in zip(indices, cuts, frames):
+    for idx, cut, depth, frame in zip(indices, cuts, m, frames):
         vx, vy = verts[idx]
-        depth = cut.depth.numerator * (common // cut.depth.denominator)
         # seam endpoints must stay strictly inside the adjacent edges: the
         # depth is under the lattice length of each
         for neighbour in (idx + 1, idx - 1):
@@ -186,7 +192,7 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
                 raise OverlappingCuts(
                     f"cuts at {cuts[a].vertex.text()} and {cuts[b].vertex.text()} intersect"
                 )
-    simplices = tuple(_from_integers(common, triangle) for triangle in triangles)
+    simplices = tuple(_from_integers(k, triangle) for triangle in triangles)
 
     walk: list[tuple[int, int]] = []
     for idx in range(n):
@@ -195,20 +201,15 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
             walk.extend([r, q])  # arrive along the previous edge, leave along the next
         else:
             walk.append(verts[idx])
-    chopped = _from_integers(common, _hull(walk))
-
-    k = denominator_lcm(chopped)
-    # k*depth is an integer: k times a seam is integral, and a seam is
-    # depth*(p - n) for a primitive p - n, as its frame (n, p) has det 1
-    m = tuple(cut.depth.numerator * k // cut.depth.denominator for cut in cuts)
+    chopped = _from_integers(k, _hull(walk))
+    if denominator_lcm(chopped) != k:
+        raise InternalInconsistency(
+            f"chopped polygon {chopped.vertex_text()} of base {base.vertex_text()} has "
+            f"lattice multiple {denominator_lcm(chopped)}, not k={k}"
+        )
 
     scaled_base = scale(base, k)
     scaled_chopped = scale(chopped, k)
-    if not is_lattice(scaled_base):
-        raise InternalInconsistency(
-            f"scaled base polygon {scaled_base.vertex_text()} (base {base.vertex_text()} "
-            f"at lattice multiple k={k}) is not a lattice polygon"
-        )
     base_area = area(base)
     parts_area = area(chopped) + sum(area(s) for s in simplices)
     if parts_area != base_area:
@@ -229,7 +230,7 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
         chopped=chopped,
         simplices=simplices,
         seams=tuple(
-            tuple(Vec2(Fraction(x, common), Fraction(y, common)) for x, y in seam_points[idx])
+            tuple(Vec2(Fraction(x, k), Fraction(y, k)) for x, y in seam_points[idx])
             for idx in indices
         ),
         frames=frames,
@@ -242,6 +243,7 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
         chopped_scaled_delzant=is_delzant(scaled_chopped),
         _scaled_base=scaled_base,
         _scaled_chopped=scaled_chopped,
+        _cut_points=tuple((verts[idx], *seam_points[idx]) for idx in indices),
     )
 
 
@@ -269,17 +271,12 @@ def simplex_closed_forms(m: int, i: int) -> SimplexForms:
     )
 
 
-def _times(v: Vec2, k: int) -> tuple[int, int]:
-    """k * v as an integer pair, for a k that makes it one."""
-    return v.x.numerator * (k // v.x.denominator), v.y.numerator * (k // v.y.denominator)
-
-
-def _seam(q: Vec2, r: Vec2, k: int, i: int) -> tuple[int, int, int]:
+def _seam(q: tuple[int, int], r: tuple[int, int], i: int) -> tuple[int, int, int]:
     """(count, sum of x, sum of y) over the integer points of the i-th
-    dilation of the seam from k*q to k*r, for a k that makes both ends
-    integral. Its i*gcd(k*(r - q)) + 1 points are evenly spaced, so they
-    sum to i*count*(k*q + k*r)/2: an int, as a sum of integer points."""
-    (qx, qy), (rx, ry) = _times(q, k), _times(r, k)
+    dilation of the seam between the integer points q and r, a cut's seam
+    at scale k. Its i*gcd(r - q) + 1 points are evenly spaced, so they sum
+    to i*count*(q + r)/2: an int, as a sum of integer points."""
+    (qx, qy), (rx, ry) = q, r
     count = i * gcd(rx - qx, ry - qy) + 1
     return count, i * count * (qx + rx) // 2, i * count * (qy + ry) // 2
 
@@ -310,12 +307,11 @@ def df_invariants(decomposition: Decomposition) -> tuple[Vec2, Vec2]:
     the sum.
     """
     d = decomposition
-    a_c, b_c, k = d.a_const, d.b_const, d.k
+    a_c, b_c = d.a_const, d.b_const
     scaled = d.scaled_base()
-    # k * v is integral because the scaled base is a lattice polygon
     cut_data = [
-        (frame.column_sum().as_tuple(), _times(cut.vertex, k), m)
-        for cut, frame, m in zip(d.cuts, d.frames, d.m)
+        (frame.column_sum().as_tuple(), vertex, m)
+        for frame, (vertex, _, _), m in zip(d.frames, d._cut_points, d.m)
     ]
     boundary = boundary_moment(scaled)
     constant = _counting_and_sum_polys(scaled)
@@ -454,11 +450,11 @@ def verify_general_identity(decomposition: Decomposition, f: AffineMap, i: int) 
     count, sx, sy = lattice_moments(scaled_base, i)
     a2 = scaled_base.integer.twice_area
     mx, my = scaled_base.integer.moment
-    for simplex, (q, r) in zip(d.simplices, d.seams):
+    for simplex, (_, q, r) in zip(d.simplices, d._cut_points):
         part = simplex.integer
         up = k // part.scale
         part_count, part_x, part_y = lattice_moments(simplex, k * i)
-        seam_count, seam_x, seam_y = _seam(q, r, k, i)
+        seam_count, seam_x, seam_y = _seam(q, r, i)
         count += seam_count - part_count
         sx += seam_x - part_x
         sy += seam_y - part_y

@@ -133,10 +133,10 @@ def sum_rule_residuals(decomposition: Decomposition) -> dict[str, Fraction]:
     are points-per-area constants at dilation one. The function 1 sums to
     the point count and integrates to the area; x1 and x2 sum to the
     coordinate sums and integrate to the moment. `blowup._seam` gives each
-    seam's count and sums as ints. Both sides are enumerated or integrated
-    directly, each polygon scanned once, and the residuals of a
-    decomposition satisfying the hypotheses (k = 1 and a base whose
-    averaged-point invariant vanishes) are zero.
+    seam's count and sums as ints, from its integer ends at k = 1. Both
+    sides are enumerated or integrated directly, each polygon scanned
+    once, and the residuals of a decomposition satisfying the hypotheses
+    (k = 1 and a base whose averaged-point invariant vanishes) are zero.
     """
     d = decomposition
     if d.k != 1:
@@ -156,8 +156,8 @@ def sum_rule_residuals(decomposition: Decomposition) -> dict[str, Fraction]:
     for polygon, weight in weighted:
         volume += area(polygon) * weight
         moment += moment_integral(polygon) * weight
-    for q, r in d.seams:
-        seam_count, seam_x, seam_y = _seam(q, r, 1, 1)
+    for _, q, r in d._cut_points:
+        seam_count, seam_x, seam_y = _seam(q, r, 1)
         count, sx, sy = count - seam_count, sx - seam_x, sy - seam_y
     return {"1": count - volume, "x1": sx - moment.x, "x2": sy - moment.y}
 

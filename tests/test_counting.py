@@ -401,6 +401,7 @@ class TestSegments:
         q, r = Vec2.of("1/2", "3/2"), Vec2.of("5/2", "1/2")
         ends = [(int(v.x * k * i), int(v.y * k * i)) for v in (q, r)]
         pts = brute.segment_lattice_points(*ends)
-        assert _seam(q, r, k, i) == (
+        kq, kr = [(int(v.x * k), int(v.y * k)) for v in (q, r)]
+        assert _seam(kq, kr, i) == (
             len(pts), sum(x for x, _ in pts), sum(y for _, y in pts)
         )
