@@ -56,7 +56,7 @@ from .geometry import (
     to_fraction,
 )
 from .chow import _polygon_weight, _weight, chow_poly
-from .counting import VecPoly, _counting_and_sum_polys, lattice_moments
+from .counting import VecPoly, _charge_dilations, _counting_and_sum_polys, lattice_moments
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,12 @@ class CornerCut:
 class Decomposition:
     """A validated corner-chop decomposition.
 
-    `k` is the minimal integer making the scaled chopped polygon a lattice
-    polygon; `m` holds the integer cut depths at that scale. The aggregates
-    are taken on the scaled base: `a_const` is its boundary lattice point
-    count minus sum(m), `b_const` twice its area minus sum(m^2).
+    `k` is the lcm of the base's scale and the depths' denominators, and
+    equals the minimal integer making the scaled chopped polygon a lattice
+    polygon; `m` holds the integer cut depths k*depth at that scale. The
+    aggregates are taken on the scaled base: `a_const` is its boundary
+    lattice point count minus sum(m), `b_const` twice its area minus
+    sum(m^2).
     """
 
     base: Polygon
@@ -115,6 +117,12 @@ class Decomposition:
         return self._scaled_chopped
 
 
+def _cut_text(cuts: tuple[CornerCut, ...]) -> str:
+    """The cuts as `[(0, 2) at depth 1/2, ...]`, for messages that must
+    reproduce a decomposition."""
+    return "[" + ", ".join(f"{cut.vertex.text()} at depth {cut.depth}" for cut in cuts) + "]"
+
+
 def _triangles_disjoint(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bool:
     """Exact separating-axis test for closed convex polygons, given as
     counter-clockwise integer vertex cycles at one common scale."""
@@ -133,15 +141,20 @@ def _triangles_disjoint(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> b
 def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -> Decomposition:
     """Chop the given corners off the base polygon and validate the result.
 
-    The base may be rational: k is the minimal lattice multiple of the
-    chopped polygon, each k*depth is then a positive integer, and the
-    scaled base is a lattice polygon. The chopped polygon's Delzant
-    status at scale k is reported as a flag, not an error: the invariants
-    still evaluate, and callers can decide how much to trust them.
+    The base may be rational: k is the lcm of the base's scale and the
+    depths' denominators, set before any geometry, so each m = k*depth is
+    a positive integer and the scaled base is a lattice polygon; k is also
+    the minimal lattice multiple of the chopped polygon, which is checked.
+    The chopped polygon's Delzant status at scale k is reported as a flag,
+    not an error: the invariants still evaluate, and callers can decide
+    how much to trust them.
 
     The seam points, the cut simplices, the hull walk of the chopped
     polygon and the scaled polygons are computed on integer vertices at
-    scale k; the seams are returned as Fraction points and as integers.
+    scale k. The seams are returned as Fraction points, and each cut's
+    vertex and seam also as integer pairs at k, which the blow-up sums
+    read. Every refusal of an inconsistent result names the base and the
+    cuts.
     """
     cuts = tuple(cuts)
     indices: list[int] = []
@@ -204,8 +217,8 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
     chopped = _from_integers(k, _hull(walk))
     if denominator_lcm(chopped) != k:
         raise InternalInconsistency(
-            f"chopped polygon {chopped.vertex_text()} of base {base.vertex_text()} has "
-            f"lattice multiple {denominator_lcm(chopped)}, not k={k}"
+            f"chopped polygon {chopped.vertex_text()} of base {base.vertex_text()} cut at "
+            f"{_cut_text(cuts)} has lattice multiple {denominator_lcm(chopped)}, not k={k}"
         )
 
     scaled_base = scale(base, k)
@@ -214,8 +227,9 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
     parts_area = area(chopped) + sum(area(s) for s in simplices)
     if parts_area != base_area:
         raise InternalInconsistency(
-            f"cut areas of base {base.vertex_text()} at lattice multiple k={k} do not add "
-            f"up: chopped plus cut simplices {parts_area}, base {base_area}"
+            f"cut areas of base {base.vertex_text()} cut at {_cut_text(cuts)} at lattice "
+            f"multiple k={k} do not add up: chopped plus cut simplices {parts_area}, "
+            f"base {base_area}"
         )
 
     m_sum = sum(m)
@@ -378,12 +392,14 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     coordinate is built for the report. Raises VerificationMismatch on the
     first unequal dilation, carrying the full report assembled so far; its
     message names the scaled chopped polygon, k, the base and the cuts.
+    The rows of the i_max scans are charged to the budget before any work.
     """
     if i_max < 1:
         raise ValueError("i_max must be a positive integer")
     d = decomposition
-    identity_side = chow_after_blowup(d)
     target = d.scaled_chopped()
+    _charge_dilations(target, i_max, i_max, f"blow-up verification to i_max={i_max}")
+    identity_side = chow_after_blowup(d)
     # the identity side per coordinate: c2, c1 and c0 over one denominator
     (x2, x1, x0), qx = _over_common_denominator(
         identity_side.c2.x, identity_side.c1.x, identity_side.c0.x
@@ -402,11 +418,10 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
             continue
         lhs = Vec2(Fraction(lx, qx), Fraction(ly, qy))
         entries.append((i, lhs, rhs))
-        cut_text = ", ".join(f"{cut.vertex.text()} at depth {cut.depth}" for cut in d.cuts)
         where = (
             f" on the scaled chopped polygon {target.vertex_text()} "
             f"at lattice multiple k={d.k}, from base {d.base.vertex_text()} "
-            f"cut at [{cut_text}]"
+            f"cut at {_cut_text(d.cuts)}"
         )
         raise VerificationMismatch(i, lhs, rhs, BlowupVerification(tuple(entries)), where)
     return BlowupVerification(tuple(entries))

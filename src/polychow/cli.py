@@ -28,7 +28,7 @@ from .geometry import (
     is_lattice,
     moment_integral,
 )
-from .counting import _charge_budget, ehrhart_eval, ehrhart_poly, sum_points, sum_poly
+from .counting import _charge_dilations, ehrhart_eval, ehrhart_poly, sum_points, sum_poly
 from .chow import (
     chow_poly,
     chow_eval,
@@ -124,18 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add("mukai", "incidence stability test for plane point configurations", _cmd_mukai)
     add("replicate", "run the embedded replication suite", _cmd_replicate, needs_file=False)
     return parser
-
-
-def _charge_dilations(polygon: Polygon, calls: int, top: int, knob: str) -> None:
-    """Charge the rows that a loop of `calls` kernel calls at dilations up
-    to `top` will scan, before its first dilation. Each call scans at most
-    the rows of the top dilation, top * height + 1, so a stale large knob
-    is refused at once instead of running until it is killed."""
-    if calls < 1:
-        return
-    low, high = polygon.integer.heights
-    rows = calls * (top * (high - low) // polygon.integer.scale + 1)
-    _charge_budget(rows, "{} scans up to {} rows", knob, rows)
 
 
 def _polygon_report(polygon: Polygon) -> dict:

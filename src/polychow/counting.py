@@ -67,6 +67,18 @@ def _charge_budget(units: int, what: str, *parts: object) -> None:
         )
 
 
+def _charge_dilations(polygon: Polygon, calls: int, top: int, knob: str) -> None:
+    """Charge the rows that a loop of `calls` kernel calls at dilations up
+    to `top` will scan, before its first dilation. Each call scans at most
+    the rows of the top dilation, top * height + 1, so a stale large knob
+    is refused at once instead of running until it is killed."""
+    if calls < 1:
+        return
+    low, high = polygon.integer.heights
+    rows = calls * (top * (high - low) // polygon.integer.scale + 1)
+    _charge_budget(rows, "{} scans up to {} rows", knob, rows)
+
+
 @dataclass(frozen=True)
 class ScalarPoly:
     """Quadratic polynomial c2*i^2 + c1*i + c0 with exact coefficients."""

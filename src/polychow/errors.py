@@ -77,7 +77,8 @@ class HypothesisNotMet(PolychowError):
 
 
 class GroupClosureOverflow(PolychowError):
-    """Group closure exceeded the configured element cap."""
+    """Group closure exceeded the fixed cap of `GROUP_CLOSURE_CAP` = 6
+    elements, the largest order of a finite subgroup of SL(2, Z)."""
 
 
 class EmptyConfiguration(PolychowError):

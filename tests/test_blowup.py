@@ -12,6 +12,7 @@ from polychow import (
     AffineMap,
     CornerCut,
     CutThroughEdge,
+    EnumerationLimitExceeded,
     InternalInconsistency,
     InvalidCutDepth,
     InvalidCutVertex,
@@ -285,6 +286,16 @@ class TestBlowupIdentity:
         chow_after_blowup(d)
         assert scans == [(d.scaled_base(), i) for i in (1, 2, 3)]
 
+    def test_verification_charged_before_work(self, hexagon, scans, monkeypatch):
+        # the rows of all i_max scans are charged before the identity side
+        # or the first dilation is computed
+        d = hexagon_cut(hexagon)
+        monkeypatch.setenv("POLYCHOW_MAX_ENUM", "1000")
+        with pytest.raises(EnumerationLimitExceeded) as excinfo:
+            verify_blowup_theorem(d, 300)
+        assert scans == []
+        assert "i_max=300 scans up to" in str(excinfo.value)
+
     def test_two_cut_chow_vanishes(self, hexagon):
         d = chop_corners(hexagon, [CornerCut.of((0, 2), HALF), CornerCut.of((2, 0), HALF)])
         assert chow_after_blowup(d).is_zero()
@@ -420,6 +431,15 @@ class TestBlowupIdentity:
         message = str(excinfo.value)
         assert "[(0, 1), (1, 0), (2, 0), (2, 1), (1, 2), (0, 2)]" in message
         assert "k=2" in message and "chopped plus cut simplices 2, base 1" in message
+
+    def test_area_mismatch_names_cuts(self, hexagon, monkeypatch):
+        import polychow.blowup as blowup_module
+
+        monkeypatch.setattr(blowup_module, "area", lambda polygon: Fraction(1))
+        cuts = [CornerCut.of((0, 2), HALF), CornerCut.of((2, 0), Fraction(1, 4))]
+        with pytest.raises(InternalInconsistency) as excinfo:
+            chop_corners(hexagon, cuts)
+        assert "cut at [(0, 2) at depth 1/2, (2, 0) at depth 1/4]" in str(excinfo.value)
 
 
 class TestCorpusIdentity:

@@ -2,8 +2,10 @@
 every module-level private function of a library or test module is used
 somewhere in the library or in the tests respectively,
 every module-level public function is exported or used somewhere in the
-library, and every module-level constant of a library module is read
-somewhere in the library.
+library, every module-level constant of a library module is read
+somewhere in the library, and every `InternalInconsistency` raised in the
+library formats a polygon's `vertex_text()` and every
+`VerificationMismatch` is raised with a `where`.
 
 `__init__.py` is left out of the import check: its imports are the
 package's public names. Names in quoted annotations count as uses, and so
@@ -173,3 +175,39 @@ def test_no_dead_module_constants():
     assigned, reads = _constants_and_reads()
     assert ("counting", "DEFAULT_MAX_ENUM") in assigned
     assert sorted(assigned - reads) == []
+
+
+def _raises_without_context() -> tuple[list[str], int]:
+    """Every `raise InternalInconsistency(...)` in the library whose message
+    formats no `vertex_text()` call, and every `raise VerificationMismatch`
+    without a `where`, as `file:line`; and how many such raises there are."""
+    missing: list[str] = []
+    seen = 0
+    for name in MODULES:
+        for node in ast.walk(_tree(PACKAGE / name)):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)):
+                continue
+            call = node.exc
+            if call.func.id == "InternalInconsistency":
+                named = any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "vertex_text"
+                    for n in ast.walk(call)
+                )
+            elif call.func.id == "VerificationMismatch":
+                named = len(call.args) >= 5 or any(kw.arg == "where" for kw in call.keywords)
+            else:
+                continue
+            seen += 1
+            if not named:
+                missing.append(f"{name}:{node.lineno}")
+    return missing, seen
+
+
+def test_consistency_errors_name_the_polygon():
+    # a message alone must reproduce the failure: each InternalInconsistency
+    # names the polygon, each VerificationMismatch says where it was enumerated
+    missing, seen = _raises_without_context()
+    assert seen >= 2
+    assert missing == []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import ceil, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,9 +12,11 @@ import brute
 from corpus import decomposition_corpus, delzant_corpus, random_unimodular
 from polychow import (
     AffineMap,
+    CornerCut,
     DegeneratePolytope,
     EnumerationLimitExceeded,
     IntMat2,
+    OverlappingCuts,
     PointConfiguration,
     Polygon,
     SymmetryGroup,
@@ -23,6 +26,7 @@ from polychow import (
     boundary_lattice_length,
     boundary_moment,
     canonicalize,
+    chop_corners,
     chow_eval,
     chow_poly,
     corner_frame,
@@ -33,6 +37,7 @@ from polychow import (
     is_centrally_symmetric,
     is_delzant,
     is_weakly_symmetric,
+    lattice_length,
     lattice_moments,
     lattice_points,
     moment_integral,
@@ -144,6 +149,46 @@ def test_df_invariants_match_docstring_formula():
 def test_delzant_preserved_by_corpus_transforms():
     for polygon in CORPUS:
         assert is_delzant(polygon)
+
+
+@given(
+    st.sampled_from(CORPUS),
+    st.integers(1, 6),
+    st.lists(
+        st.tuples(st.integers(0, 99), st.integers(1, 6), st.integers(0, 99)),
+        min_size=1, max_size=2,
+    ),
+)
+@example(CORPUS[5], 1, [(0, 1, 0)])
+@settings(max_examples=80, deadline=None)
+def test_chop_scale_is_the_lcm_of_the_depths(polygon, s, raw_cuts):
+    # a Delzant polygon scaled by 1/s, cut at one or two corners at depths
+    # with denominators 1 to 6, each under both adjacent edges; a corner
+    # too short for its denominator is not cut
+    base = canonicalize(v * Fraction(1, s) for v in polygon.vertices)
+    cuts: dict[int, CornerCut] = {}
+    for corner, denominator, pick in raw_cuts:
+        idx = corner % len(base)
+        v = base.vertex(idx)
+        shortest = min(lattice_length(v, base.vertex(idx + j)) for j in (-1, 1))
+        largest = ceil(shortest * denominator) - 1
+        if largest >= 1:
+            cuts.setdefault(idx, CornerCut(v, Fraction(1 + pick % largest, denominator)))
+    assume(cuts)
+    try:
+        d = chop_corners(base, list(cuts.values()))
+    except OverlappingCuts:
+        assume(False)
+    k = d.k
+    assert k == lcm(denominator_lcm(base), *(c.depth.denominator for c in d.cuts))
+    assert k == denominator_lcm(d.chopped)
+    assert d.m == tuple(k * c.depth for c in d.cuts)
+    assert all(type(m) is int for m in d.m)
+    assert d.scaled_base() == scale(d.base, k)
+    for (v, q, r), cut, seam in zip(d._cut_points, d.cuts, d.seams):
+        assert [v, q, r] == [(k * p.x, k * p.y) for p in (cut.vertex, *seam)]
+    if k == 1:
+        assert d.scaled_base() is d.base and d.scaled_chopped() is d.chopped
 
 
 @given(
