@@ -5,7 +5,8 @@ corpus decomposition or a group of sum-rule decompositions) to the `repr`
 of what the library returns for it: for the polygons of `CATALOG`,
 `ehrhart_poly`, `sum_poly`, `chow_poly`, `c_constant`,
 `lattice_points`, `fo_invariant` and `chow_eval` (for one fixed affine f)
-at i = 1, 2, 3, the polygon scaled by 2, the polygon canonicalized
+at i = 1, 2, 3, `chow_eval` under two more affine maps and `p_delta` under
+all three at i = 1, 2, 3, the polygon scaled by 2, the polygon canonicalized
 from its vertices in reverse order, `is_centrally_symmetric`,
 `is_weakly_symmetric` with the point reflection and with each conjugated
 cyclic group below, and `lattice_moments` at i = 1, 7 and 10^6; for `decomposition_corpus(max_count=40)`,
@@ -69,6 +70,7 @@ from polychow import (
     lattice_moments,
     lattice_points,
     mukai_classify,
+    p_delta,
     scale,
     sum_poly,
     sum_rule_constant_condition,
@@ -82,6 +84,17 @@ GOLDEN = Path(__file__).parent / "golden" / "library_repr.json"
 
 # a fixed affine test function with rational entries and a non-zero offset
 F = AffineMap.linear(2, -1, Fraction(1, 3), 1, Vec2.of(5, Fraction(-1, 2)))
+# two more test functions for `chow_eval` and `p_delta` on the catalog: four
+# distinct linear denominators with a rational offset, and a zero row with an
+# integer offset
+MAPS = {
+    "F": F,
+    "mixed": AffineMap.linear(
+        Fraction(2, 3), Fraction(-5, 4), Fraction(7, 6), Fraction(-1, 5),
+        Vec2.of(Fraction(3, 7), Fraction(-2, 9)),
+    ),
+    "zero row": AffineMap.linear(0, 0, 3, Fraction(-1, 2), Vec2.of(4, -1)),
+}
 
 
 def _outcome(function, *args) -> str:
@@ -104,6 +117,11 @@ def _polygon_outputs(polygon) -> dict[str, str]:
         out[f"lattice_points {i}"] = repr(lattice_points(polygon, i))
         out[f"fo_invariant {i}"] = _outcome(fo_invariant, polygon, i)
         out[f"chow_eval {i}"] = repr(chow_eval(polygon, F, i))
+    for name, f in MAPS.items():
+        for i in (1, 2, 3):
+            if name != "F":
+                out[f"chow_eval {name} {i}"] = repr(chow_eval(polygon, f, i))
+            out[f"p_delta {name} {i}"] = repr(p_delta(polygon, f, i))
     out["scale 2"] = repr(scale(polygon, 2))
     out["canonicalize reversed"] = repr(canonicalize(reversed(polygon.vertices)))
     out["is_centrally_symmetric"] = repr(is_centrally_symmetric(polygon))
