@@ -479,4 +479,4 @@ def verify_general_identity(decomposition: Decomposition, f: AffineMap, i: int) 
     wx, wy = _weight(3 * a2, (mx, my), (count, sx, sy), i)
     target = d.scaled_chopped()
     cx, cy, _ = _polygon_weight(target, lattice_moments(target, i), i)
-    return f.linear_apply(Vec2(Fraction(wx - cx, 6 * i), Fraction(wy - cy, 6 * i)))
+    return f._apply_over(wx - cx, wy - cy, 6 * i)

@@ -59,11 +59,11 @@ def chow_eval(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
     """Chow weight at dilation i, by direct enumeration.
 
     The constant part of f cancels between the two terms, so the weight is
-    f_linear of the coordinate weight, `_polygon_weight` over 6 L^3 i.
+    f_linear of the coordinate weight, `_polygon_weight` over 6 L^3 i: f
+    reads the integer numerators and builds one Fraction per coordinate.
     """
     wx, wy, _ = _polygon_weight(polygon, lattice_moments(polygon, i), i)
-    denominator = 6 * polygon.integer.scale**3 * i
-    return f.linear_apply(Vec2(Fraction(wx, denominator), Fraction(wy, denominator)))
+    return f._apply_over(wx, wy, 6 * polygon.integer.scale**3 * i)
 
 
 def chow_poly(polygon: Polygon) -> VecPoly:

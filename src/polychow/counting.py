@@ -316,6 +316,6 @@ def sum_poly(polygon: Polygon) -> VecPoly:
 def p_delta(polygon: Polygon, f: AffineMap, i: int) -> Vec2:
     """Sum of f over the sample points of the i-th subdivision, from one
     scan. Because f is affine the pointwise sum factors exactly as
-    f_linear(sum of points) + count * offset."""
+    f_linear(sum of points) + count * offset, with the raw sums over i."""
     count, sx, sy = lattice_moments(polygon, i)
-    return f.linear_apply(Vec2(Fraction(sx, i), Fraction(sy, i))) + f.offset * count
+    return f._apply_over(sx, sy, i, count)

@@ -190,10 +190,41 @@ class AffineMap:
         return self.det() != 0
 
     def linear_apply(self, v: Vec2) -> Vec2:
-        return Vec2(self.xx * v.x + self.xy * v.y, self.yx * v.x + self.yy * v.y)
+        return self._apply_over(*_over_common_denominator(v))
 
     def apply(self, v: Vec2) -> Vec2:
-        return self.linear_apply(v) + self.offset
+        return self._apply_over(*_over_common_denominator(v), 1)
+
+    def _apply_over(self, x: int, y: int, den: int, weight: int = 0) -> Vec2:
+        """f_linear((x, y) / den) + weight * offset for ints x, y, weight and
+        den > 0, with one Fraction per coordinate. The entries are read
+        through `as_integer_ratio()`, so int and Fraction entries both work;
+        callers holding integer numerators over one denominator pass them
+        here without building a Vec2 of Fractions."""
+        return Vec2(
+            _row_over(self.xx, self.xy, self.offset.x, x, y, den, weight),
+            _row_over(self.yx, self.yy, self.offset.y, x, y, den, weight),
+        )
+
+
+def _over_common_denominator(v: Vec2) -> tuple[int, int, int]:
+    """(x, y, den) with v = (x, y) / den, for int or Fraction coordinates."""
+    px, qx = v.x.as_integer_ratio()
+    py, qy = v.y.as_integer_ratio()
+    return px * qy, py * qx, qx * qy
+
+
+def _row_over(a, b, t, x: int, y: int, den: int, weight: int) -> Fraction:
+    """(a*x + b*y) / den + weight*t as one Fraction, for rationals a, b, t:
+    every term is brought over the product of the denominators, and the
+    one gcd is Fraction's own."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    num, den = an * bd * x + bn * ad * y, ad * bd * den
+    if weight:
+        tn, td = t.as_integer_ratio()
+        num, den = num * td + weight * tn * den, den * td
+    return Fraction(num, den)
 
 
 # one edge of a kernel chain: (L*y of its top vertex, a, c, b), see IntegerForm
