@@ -315,10 +315,10 @@ def df_invariants(decomposition: Decomposition) -> tuple[Vec2, Vec2]:
                  + 2M*sum(m) - 3*BM*sum(m^2)
         24*DF2 = 2B*sum(F m) + 4*sum(F m^3) + 12*sum(k v m^2) - C*sum(m^2)
 
-    DF2 builds one Fraction per coordinate, at the end. DF1's boundary
-    term is read through `boundary_moment`, not the integer form, so that
-    a wrong boundary measure shows up in DF1; it is the one Fraction in
-    the sum.
+    Each invariant builds one Fraction per coordinate, at the end. DF1's
+    boundary term is read through `boundary_moment`, not the integer form,
+    so that a wrong boundary measure shows up in DF1; its coordinates are
+    read as integer ratios p/q and DF1 is put over 24 q.
     """
     d = decomposition
     a_c, b_c = d.a_const, d.b_const
@@ -341,8 +341,9 @@ def df_invariants(decomposition: Decomposition) -> tuple[Vec2, Vec2]:
             2 * a_c * frame_m3 + 6 * a_c * vert_m2 - 6 * b_c * vert_m1
             + 2 * scaled.integer.moment[j] * d.m_sum
         )
-        # half_bm is the Fraction BM/2: 6 * half_bm is 3*BM, and `/` stays exact
-        df1.append((df1_24 - 6 * d.m_square_sum * half_bm) / 24)
+        # half_bm = p/q is BM/2, so 6 * half_bm is 3*BM: one Fraction over 24 q
+        p, q = half_bm.as_integer_ratio()
+        df1.append(Fraction(df1_24 * q - 6 * d.m_square_sum * p, 24 * q))
         df2.append(Fraction(
             2 * b_c * frame_m1 + 4 * frame_m3 + 12 * vert_m2 - constant[j] * d.m_square_sum, 24
         ))

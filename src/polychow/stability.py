@@ -26,9 +26,7 @@ from .geometry import (
     IntMat2,
     Polygon,
     Vec2,
-    ZERO_VEC,
     area,
-    moment_integral,
     to_fraction,
 )
 from .counting import _charge_budget, lattice_moments
@@ -135,7 +133,8 @@ def sum_rule_residuals(decomposition: Decomposition) -> dict[str, Fraction]:
     coordinate sums and integrate to the moment. `blowup._seam` gives each
     seam's count and sums as ints, from its integer ends at k = 1. Both
     sides are enumerated or integrated directly, each polygon scanned
-    once, and the residuals of a decomposition satisfying the hypotheses
+    once and each integral read from its integer form, one Fraction per
+    residual. The residuals of a decomposition satisfying the hypotheses
     (k = 1 and a base whose averaged-point invariant vanishes) are zero.
     """
     d = decomposition
@@ -148,18 +147,29 @@ def sum_rule_residuals(decomposition: Decomposition) -> dict[str, Fraction]:
     if _polygon_weight(d.base, base, 1)[:2] != (0, 0):
         raise HypothesisNotMet("the base polygon's averaged-point invariant must vanish")
     count, sx, sy = lattice_moments(d.chopped, 1)
-    c_base = Fraction(base[0]) / area(d.base)
-    c_chop = Fraction(count) / area(d.chopped)
-    weighted = [(d.chopped, c_chop), (d.base, c_base - c_chop)]
-    weighted += [(simplex, c_chop - FACTORIAL_N_PLUS_1) for simplex in d.simplices]
-    volume, moment = Fraction(0), ZERO_VEC
-    for polygon, weight in weighted:
-        volume += area(polygon) * weight
-        moment += moment_integral(polygon) * weight
+    # At k = 1 every polygon here has integer form scale 1: its area is
+    # a2/2 and its moment integral M/6 in the ints of that form. Over
+    # den = a2_base * a2_chop the weights c_base = 2 E_base / a2_base and
+    # c_chop = 2 E_chop / a2_chop have int numerators, so the weighted
+    # volume is an int over 2 den and the weighted moment one over 6 den.
+    a2_base, a2_chop = d.base.integer.twice_area, d.chopped.integer.twice_area
+    den = a2_base * a2_chop
+    c_chop = 2 * count * a2_base
+    weighted = [(d.chopped.integer, c_chop), (d.base.integer, 2 * base[0] * a2_chop - c_chop)]
+    weighted += [(simplex.integer, c_chop - FACTORIAL_N_PLUS_1 * den) for simplex in d.simplices]
+    volume = moment_x = moment_y = 0
+    for form, weight in weighted:
+        volume += form.twice_area * weight
+        moment_x += form.moment[0] * weight
+        moment_y += form.moment[1] * weight
     for _, q, r in d._cut_points:
         seam_count, seam_x, seam_y = _seam(q, r, 1)
         count, sx, sy = count - seam_count, sx - seam_x, sy - seam_y
-    return {"1": count - volume, "x1": sx - moment.x, "x2": sy - moment.y}
+    return {
+        "1": Fraction(2 * den * count - volume, 2 * den),
+        "x1": Fraction(6 * den * sx - moment_x, 6 * den),
+        "x2": Fraction(6 * den * sy - moment_y, 6 * den),
+    }
 
 
 def sum_rule_constant_condition(decomposition: Decomposition) -> Fraction:
