@@ -4,8 +4,9 @@ somewhere in the library or in the tests respectively,
 every module-level public function is exported or used somewhere in the
 library, every module-level constant of a library module is read
 somewhere in the library, and every `InternalInconsistency` raised in the
-library formats a polygon's `vertex_text()` and every
-`VerificationMismatch` is raised with a `where`.
+library formats a polygon's `vertex_text()`, every
+`VerificationMismatch` is raised with a `where`, and no library call hands
+`linear_apply` or `apply` a `Vec2` built from `Fraction`s.
 
 `__init__.py` is left out of the import check: its imports are the
 package's public names. Names in quoted annotations count as uses, and so
@@ -211,3 +212,35 @@ def test_consistency_errors_name_the_polygon():
     missing, seen = _raises_without_context()
     assert seen >= 2
     assert missing == []
+
+
+def _is_call_to(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def _fraction_vectors_applied() -> tuple[list[str], int]:
+    """Every call `*.linear_apply(...)` or `*.apply(...)` in the library
+    that is passed a `Vec2(...)` with a `Fraction(...)` argument, as
+    `file:line`; and how many such calls there are in all."""
+    found: list[str] = []
+    seen = 0
+    for name in MODULES:
+        for node in ast.walk(_tree(PACKAGE / name)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("linear_apply", "apply")):
+                continue
+            seen += 1
+            if any(
+                _is_call_to(arg, "Vec2") and any(_is_call_to(a, "Fraction") for a in arg.args)
+                for arg in node.args
+            ):
+                found.append(f"{name}:{node.lineno}")
+    return found, seen
+
+
+def test_affine_maps_take_integer_numerators():
+    # a caller holding integer numerators over one denominator passes them
+    # to `AffineMap._apply_over`, which builds one Fraction per coordinate
+    found, seen = _fraction_vectors_applied()
+    assert seen >= 1
+    assert found == []

@@ -42,6 +42,7 @@ from polychow import (
     lattice_points,
     moment_integral,
     mukai_classify,
+    p_delta,
     scale,
     sum_points,
     sum_poly,
@@ -95,6 +96,40 @@ def test_chow_laws_on_corpus():
             assert chow_eval(apply_affine(polygon, AffineMap.from_int_mat(u)), ID, i) == u.apply(base)
         for k in (2, 3):
             assert chow_eval(scale(polygon, k), ID, 1) == chow_eval(polygon, ID, k) * Fraction(k**3)
+
+
+BIG_RATIONALS = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+AFFINE_MAPS = st.one_of(
+    st.builds(
+        lambda xx, xy, yx, yy, ox, oy: AffineMap.linear(xx, xy, yx, yy, Vec2(ox, oy)),
+        *[BIG_RATIONALS] * 6,
+    ),
+    st.builds(lambda ox, oy: AffineMap.linear(0, 0, 0, 0, Vec2(ox, oy)), BIG_RATIONALS, BIG_RATIONALS),
+)
+# Fraction points, and the int-valued vectors that `IntMat2.column_sum` builds
+POINTS = st.one_of(
+    st.builds(Vec2, BIG_RATIONALS, BIG_RATIONALS),
+    st.builds(lambda *e: IntMat2(*e).column_sum(), *[st.integers(-(10**30), 10**30)] * 4),
+)
+
+
+@given(AFFINE_MAPS, POINTS)
+@example(AffineMap.linear(0, 0, 0, 0), IntMat2(1, 2, 3, 4).column_sum())
+@settings(max_examples=200, deadline=None)
+def test_affine_map_matches_entrywise_fractions(f, v):
+    x, y = Fraction(v.x), Fraction(v.y)
+    linear = Vec2(f.xx * x + f.xy * y, f.yx * x + f.yy * y)
+    for got, expected in ((f.linear_apply(v), linear), (f.apply(v), linear + f.offset)):
+        assert got == expected
+        assert type(got.x) is Fraction and type(got.y) is Fraction
+
+
+@given(st.sampled_from(CORPUS), AFFINE_MAPS, st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_chow_eval_is_f_linear_of_the_coordinate_weight(polygon, f, i):
+    assert chow_eval(polygon, f, i) == f.linear_apply(chow_eval(polygon, ID, i))
+    count = ehrhart_eval(polygon, i)
+    assert p_delta(polygon, f, i) == f.linear_apply(p_delta(polygon, ID, i)) + f.offset * count
 
 
 def assert_exact(*vectors):
