@@ -121,7 +121,7 @@ def test_affine_map_matches_entrywise_fractions(f, v):
     linear = Vec2(f.xx * x + f.xy * y, f.yx * x + f.yy * y)
     for got, expected in ((f.linear_apply(v), linear), (f.apply(v), linear + f.offset)):
         assert got == expected
-        assert type(got.x) is Fraction and type(got.y) is Fraction
+        assert_exact(got)
 
 
 @given(st.sampled_from(CORPUS), AFFINE_MAPS, st.integers(1, 3))
