@@ -27,9 +27,9 @@ build one Fraction per output coordinate, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import (
     CutThroughEdge,
@@ -47,6 +47,7 @@ from .geometry import (
     ZERO_VEC,
     _from_integers,
     _hull,
+    _read_only,
     area,
     boundary_moment,
     corner_frame,
@@ -59,38 +60,29 @@ from .chow import _polygon_weight, _weight, chow_poly
 from .counting import VecPoly, _charge_dilations, _counting_and_sum_polys, lattice_moments
 
 
-@dataclass(frozen=True)
-class CornerCut:
+class CornerCut(NamedTuple("CornerCut", [("vertex", Vec2), ("depth", Fraction)])):
     """One corner chop: a vertex of the base polygon and the rational depth
-    measured in primitive lattice steps along both edges at that vertex."""
+    measured in primitive lattice steps along both edges at that vertex.
+    Built directly or through `of`, the vertex is coerced to a Vec2 and the
+    depth to a Fraction; a depth that is not positive raises
+    InvalidCutDepth."""
 
-    vertex: Vec2
-    depth: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.vertex, Vec2):
-            object.__setattr__(self, "vertex", Vec2.of(*self.vertex))
-        object.__setattr__(self, "depth", to_fraction(self.depth))
-        if self.depth <= 0:
-            raise InvalidCutDepth(f"cut depth must be positive, got {self.depth}")
+    def __new__(cls, vertex, depth) -> "CornerCut":
+        if not isinstance(vertex, Vec2):
+            vertex = Vec2.of(*vertex)
+        depth = to_fraction(depth)
+        if depth <= 0:
+            raise InvalidCutDepth(f"cut depth must be positive, got {depth}")
+        return tuple.__new__(cls, (vertex, depth))
 
     @staticmethod
     def of(vertex, depth) -> "CornerCut":
         return CornerCut(vertex, depth)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """A validated corner-chop decomposition.
-
-    `k` is the lcm of the base's scale and the depths' denominators, and
-    equals the minimal integer making the scaled chopped polygon a lattice
-    polygon; `m` holds the integer cut depths k*depth at that scale. The
-    aggregates are taken on the scaled base: `a_const` is its boundary
-    lattice point count minus sum(m), `b_const` twice its area minus
-    sum(m^2).
-    """
-
+class _DecompositionFields(NamedTuple):
     base: Polygon
     cuts: tuple[CornerCut, ...]
     chopped: Polygon
@@ -104,11 +96,37 @@ class Decomposition:
     a_const: int
     b_const: int
     chopped_scaled_delzant: bool
-    # k * base and k * chopped, built once by chop_corners
-    _scaled_base: Polygon = field(repr=False, compare=False)
-    _scaled_chopped: Polygon = field(repr=False, compare=False)
-    # each cut's (k*v, k*q, k*r) as integer pairs: its vertex and its seam
-    _cut_points: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
+
+
+class Decomposition(_DecompositionFields):
+    """A validated corner-chop decomposition.
+
+    `k` is the lcm of the base's scale and the depths' denominators, and
+    equals the minimal integer making the scaled chopped polygon a lattice
+    polygon; `m` holds the integer cut depths k*depth at that scale. The
+    aggregates are taken on the scaled base: `a_const` is its boundary
+    lattice point count minus sum(m), `b_const` twice its area minus
+    sum(m^2).
+
+    The named fields give its repr, its equality and its hash. Besides
+    them it holds, built once by chop_corners, k * base and k * chopped,
+    and each cut's (k*v, k*q, k*r) as integer pairs: its vertex and its
+    seam. Assigning to any attribute raises AttributeError.
+    """
+
+    def __new__(cls, *fields, _scaled_base: Polygon, _scaled_chopped: Polygon,
+                _cut_points: tuple[tuple[tuple[int, int], ...], ...],
+                **named) -> "Decomposition":
+        self = super().__new__(cls, *fields, **named)
+        self.__dict__.update(
+            _scaled_base=_scaled_base, _scaled_chopped=_scaled_chopped, _cut_points=_cut_points
+        )
+        return self
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        return chop_corners, (self.base, self.cuts)
 
     def scaled_base(self) -> Polygon:
         return self._scaled_base
@@ -261,8 +279,7 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
     )
 
 
-@dataclass(frozen=True)
-class SimplexForms:
+class SimplexForms(NamedTuple):
     """Closed forms for the right triangle with legs m at dilation i,
     relative to its hypotenuse: area, point-sum difference, point-count
     difference, and the moment integral."""
@@ -324,7 +341,7 @@ def df_invariants(decomposition: Decomposition) -> tuple[Vec2, Vec2]:
     a_c, b_c = d.a_const, d.b_const
     scaled = d.scaled_base()
     cut_data = [
-        (frame.column_sum().as_tuple(), vertex, m)
+        (frame.column_sum(), vertex, m)
         for frame, (vertex, _, _), m in zip(d.frames, d._cut_points, d.m)
     ]
     boundary = boundary_moment(scaled)
@@ -359,8 +376,7 @@ def chow_after_blowup(decomposition: Decomposition) -> VecPoly:
     return VecPoly(ZERO_VEC, base_poly.c1 + df1, base_poly.c0 + df2)
 
 
-@dataclass(frozen=True)
-class BlowupVerification:
+class BlowupVerification(NamedTuple):
     """Per-dilation comparison of the blow-up identity against enumeration."""
 
     entries: tuple[tuple[int, Vec2, Vec2], ...]  # (i, identity side, enumerated side)

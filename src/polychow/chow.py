@@ -13,8 +13,8 @@ as diagnostics on user polygons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import (
     AffineMap,
@@ -100,8 +100,7 @@ def coefficient_span_dim(poly: VecPoly) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class LawCheck:
+class LawCheck(NamedTuple):
     """Structured pass/fail evidence for one transformation law."""
 
     law: str

@@ -45,7 +45,6 @@ from .stability import (
     is_weakly_symmetric,
     mukai_classify,
 )
-from .replicate import run_replication
 from .serialization import (
     file_digest,
     load_cuts,
@@ -287,6 +286,10 @@ def _cmd_mukai(args) -> tuple[dict, int]:
 
 
 def _cmd_replicate(args) -> tuple[dict, int]:
+    # loaded here, not with the other layers: its fixtures are built on
+    # import, and no other subcommand needs them
+    from .replicate import run_replication
+
     results = run_replication()
     failing = [r.name for r in results if not r.passed]
     report = {

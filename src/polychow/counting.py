@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import EnumerationLimitExceeded, InternalInconsistency, NotLatticePolygon
 from .geometry import (
@@ -79,8 +79,7 @@ def _charge_dilations(polygon: Polygon, calls: int, top: int, knob: str) -> None
     _charge_budget(rows, "{} scans up to {} rows", knob, rows)
 
 
-@dataclass(frozen=True)
-class ScalarPoly:
+class ScalarPoly(NamedTuple):
     """Quadratic polynomial c2*i^2 + c1*i + c0 with exact coefficients."""
 
     c2: Fraction
@@ -94,8 +93,7 @@ class ScalarPoly:
         return (self.c2, self.c1, self.c0)
 
 
-@dataclass(frozen=True)
-class VecPoly:
+class VecPoly(NamedTuple):
     """Quadratic polynomial with plane-vector coefficients."""
 
     c2: Vec2

@@ -17,7 +17,6 @@ this package depends on that convention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -55,9 +54,14 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """Exact rational vector in the plane."""
+class Vec2(NamedTuple):
+    """Exact rational vector in the plane.
+
+    A named tuple, so that it builds cheaply: it hashes as the pair (x, y)
+    and equals the plain pair with the same entries. `+`, `-`, unary `-`
+    and `*` by a scalar (on either side) are vector operations, not tuple
+    concatenation or repetition.
+    """
 
     x: Fraction
     y: Fraction
@@ -136,8 +140,8 @@ class IntMat2(NamedTuple):
     def columns(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.a, self.c), (self.b, self.d))
 
-    def column_sum(self) -> Vec2:
-        return Vec2(self.a + self.b, self.c + self.d)
+    def column_sum(self) -> tuple[int, int]:
+        return (self.a + self.b, self.c + self.d)
 
     def apply(self, v: Vec2) -> Vec2:
         return Vec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
@@ -157,8 +161,7 @@ class IntMat2(NamedTuple):
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """Affine map x -> L x + t with exact rational entries."""
 
     xx: Fraction
@@ -231,8 +234,7 @@ def _row_over(a, b, t, x: int, y: int, den: int, weight: int) -> Fraction:
 _Edge = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class IntegerForm:
+class IntegerForm(NamedTuple):
     """A polygon scaled by the least common multiple `scale` of its vertex
     denominators, so that every vertex is an integer pair, with the
     polygon's invariants in exact integer units:
@@ -323,7 +325,11 @@ def _integer_form(scale: int, pts: tuple[tuple[int, int], ...]) -> IntegerForm:
     )
 
 
-@dataclass(frozen=True, init=False, repr=False)
+def _read_only(self, name: str, *value) -> None:
+    """`__setattr__` and `__delattr__` of an immutable value."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class Polygon:
     """Strictly convex polygon in canonical form.
 
@@ -332,16 +338,33 @@ class Polygon:
     vertex lexicographically smallest. Use `canonicalize` to build one from
     arbitrary points. A polygon stores only its integer form `integer`,
     which gives its equality and its hash. The `Fraction` vertices are
-    built from it on first access. `_sum_constant` is 12 times the
-    point-sum constant, stored once the gate of
-    `counting._counting_and_sum_polys` has passed on this object.
+    built from it on first access and kept in the instance `__dict__`.
+    `_sum_constant` is 12 times the point-sum constant, stored once the
+    gate of `counting._counting_and_sum_polys` has passed on this object,
+    and None before. Assigning to any attribute raises AttributeError.
     """
 
-    integer: IntegerForm = field(init=False)
-    _sum_constant: tuple[int, int] | None = field(default=None, init=False, compare=False)
+    __slots__ = ("integer", "_sum_constant", "__dict__")
 
     def __init__(self, vertices: Iterable[Vec2]):
-        object.__setattr__(self, "integer", _integer_form(*_scaled_to_integers(tuple(vertices))))
+        self._store(_integer_form(*_scaled_to_integers(tuple(vertices))))
+
+    def _store(self, form: IntegerForm) -> None:
+        object.__setattr__(self, "integer", form)
+        object.__setattr__(self, "_sum_constant", None)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Polygon:
+            return NotImplemented
+        return self.integer == other.integer
+
+    def __hash__(self) -> int:
+        return hash((self.integer,))
+
+    def __reduce__(self):
+        return _from_integers, (self.integer.scale, self.integer.vertices)
 
     @cached_property
     def vertices(self) -> tuple[Vec2, ...]:
@@ -384,7 +407,7 @@ def _from_integers(scale: int, pts: Sequence[tuple[int, int]]) -> Polygon:
     form brought to the least scale and checked as by the constructor."""
     common = gcd(scale, *(c for p in pts for c in p))
     polygon = object.__new__(Polygon)
-    object.__setattr__(polygon, "integer", _integer_form(
+    polygon._store(_integer_form(
         scale // common, tuple((x // common, y // common) for x, y in pts)
     ))
     return polygon

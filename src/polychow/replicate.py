@@ -9,8 +9,8 @@ averaged-point invariant, and the unimodular corner-chop sum rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import IntMat2, Polygon, Vec2, ZERO_VEC, area, moment_integral
 from .counting import ScalarPoly, VecPoly, ehrhart_poly, sum_points, sum_poly
@@ -34,15 +34,13 @@ from .stability import (
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class FixtureResult:
+class FixtureResult(NamedTuple):
     name: str
     checks: tuple[Check, ...]
 

@@ -12,9 +12,9 @@ between the two averages), so the invariant is exposed as a vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import (
     DuplicatePoint,
@@ -61,10 +61,10 @@ def is_centrally_symmetric(polygon: Polygon) -> bool:
     return set(vertices) == {(-x, -y) for x, y in vertices}
 
 
-@dataclass(frozen=True)
-class SymmetryGroup:
+class SymmetryGroup(NamedTuple):
     """A finite subgroup of the determinant-one integer matrices, closed
-    under multiplication. Built from generators via `generated_by`."""
+    under multiplication. Built from generators via `generated_by`. Its
+    length is the group order, the number of its elements."""
 
     elements: frozenset[IntMat2]
 
@@ -191,17 +191,17 @@ def _primitive_triple(raw: tuple[int, int, int]) -> tuple[int, int, int]:
     return (raw[0] // g, raw[1] // g, raw[2] // g)
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
+class PointConfiguration(NamedTuple("PointConfiguration", [("points", tuple[tuple[int, int, int], ...])])):
     """Pairwise-distinct points of the projective plane, stored as primitive
     integer triples with canonical sign (first nonzero coordinate
     positive). A configuration built directly must already hold such
-    triples; `of` normalizes arbitrary rational representatives."""
+    triples, or it raises ValueError, or DuplicatePoint for a repeated
+    point; `of` normalizes arbitrary rational representatives."""
 
-    points: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for point in self.points:
+    def __new__(cls, points: tuple[tuple[int, int, int], ...]) -> "PointConfiguration":
+        for point in points:
             if not (type(point) is tuple and len(point) == 3
                     and type(point[0]) is type(point[1]) is type(point[2]) is int):
                 raise ValueError(f"projective point needs a triple of integers: {point!r}")
@@ -210,8 +210,9 @@ class PointConfiguration:
                     f"projective point {point!r} is not primitive with its first nonzero "
                     "coordinate positive (PointConfiguration.of normalizes it)"
                 )
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise DuplicatePoint("projective points must be pairwise distinct")
+        return tuple.__new__(cls, (points,))
 
     @staticmethod
     def of(rows) -> "PointConfiguration":
@@ -230,8 +231,7 @@ class PointConfiguration:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class MukaiWitness:
+class MukaiWitness(NamedTuple):
     """The extremal candidate subspace of the incidence test."""
 
     dim: int
@@ -241,8 +241,7 @@ class MukaiWitness:
     bound: Fraction
 
 
-@dataclass(frozen=True)
-class MukaiResult:
+class MukaiResult(NamedTuple):
     verdict: str  # "Stable" | "Unstable" | "Borderline"
     witness: MukaiWitness
 

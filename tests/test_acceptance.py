@@ -155,7 +155,7 @@ def test_criterion_03_stated_values_rebuilt(hexagon):
     scaled_base = six.scaled_base()
     assert chow_poly(scaled_base).is_zero()  # so the Chow weight is DF1 * i + DF2
     (m,) = six.m
-    frame = six.frames[0].column_sum()
+    frame = vec(*six.frames[0].column_sum())
     vertex = six.cuts[0].vertex * six.k
     a_c, b_c, ones = six.a_const, six.b_const, vec(1, 1)
     assert (m, frame, vertex, a_c, b_c) == (1, vec(0, -1), vec(4, 8), 19, 87)

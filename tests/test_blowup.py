@@ -482,7 +482,7 @@ class TestQuadrilateralCutData:
         for coords, column_sum in expected.items():
             idx = quad.index_of(Vec2.of(*coords))
             frame = corner_frame(quad, idx)
-            assert frame.column_sum() == Vec2.of(*column_sum)
+            assert frame.column_sum() == column_sum
 
     @pytest.mark.parametrize("a,b,n", [(2, 2, 1), (2, 3, 2), (3, 2, 1)])
     def test_all_corner_chop_aggregates(self, a, b, n):

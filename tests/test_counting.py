@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -239,7 +238,7 @@ class TestClosedFormGates:
 
     def test_failed_gate_stores_nothing(self, scans):
         polygon = Polygon.from_coords([(0, 0), (3, 0), (0, 3)])
-        object.__setattr__(polygon, "integer", replace(polygon.integer, twice_area=10))
+        object.__setattr__(polygon, "integer", polygon.integer._replace(twice_area=10))
         for _ in range(2):
             with pytest.raises(InternalInconsistency, match="at i=1:"):
                 ehrhart_poly(polygon)
@@ -265,7 +264,7 @@ class TestClosedFormGates:
     ], ids=["twice_area", "boundary_length", "moment", "boundary_moment"])
     def test_corrupted_integer_form_raises(self, field, value, i, closed, enumerated):
         polygon = Polygon.from_coords([(0, 0), (3, 0), (0, 3)])
-        object.__setattr__(polygon, "integer", replace(polygon.integer, **{field: value}))
+        object.__setattr__(polygon, "integer", polygon.integer._replace(**{field: value}))
         with pytest.raises(InternalInconsistency) as excinfo:
             ehrhart_poly(polygon)
         message = str(excinfo.value)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import time
 from fractions import Fraction
 
@@ -194,7 +193,8 @@ class TestStoredForm:
     built on the first read."""
 
     def test_vertices_are_not_a_field(self):
-        assert "vertices" not in [f.name for f in dataclasses.fields(Polygon)]
+        assert "vertices" not in Polygon.__slots__
+        assert vars(Polygon.from_coords([(0, 0), (1, 0), (0, 1)])) == {}
 
     def test_equal_vertex_cycles_equal_and_hash_alike(self):
         coords = [(0, 0), (2, 0), (2, 1), (0, 1)]

@@ -6,7 +6,9 @@ library, every module-level constant of a library module is read
 somewhere in the library, and every `InternalInconsistency` raised in the
 library formats a polygon's `vertex_text()`, every
 `VerificationMismatch` is raised with a `where`, and no library call hands
-`linear_apply` or `apply` a `Vec2` built from `Fraction`s.
+`linear_apply` or `apply` a `Vec2` built from `Fraction`s. A fresh
+interpreter that imports `polychow` or `polychow.cli` loads neither
+`dataclasses` nor the replication suite.
 
 `__init__.py` is left out of the import check: its imports are the
 package's public names. Names in quoted annotations count as uses, and so
@@ -17,6 +19,8 @@ do names that a test module imports from another one, as the tests import
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -244,3 +248,20 @@ def test_affine_maps_take_integer_numerators():
     found, seen = _fraction_vectors_applied()
     assert seen >= 1
     assert found == []
+
+
+@pytest.mark.parametrize("module", ["polychow", "polychow.cli"])
+def test_cold_start_loads_neither_dataclasses_nor_replicate(module):
+    # -S: no site-packages hook may have loaded a module before polychow
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+        f"unwanted = ('dataclasses', 'polychow.replicate'); "
+        f"before = [m for m in unwanted if m in sys.modules]; "
+        f"import {module}; "
+        f"print(before, [m for m in unwanted if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] []"

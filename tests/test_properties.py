@@ -106,15 +106,15 @@ AFFINE_MAPS = st.one_of(
     ),
     st.builds(lambda ox, oy: AffineMap.linear(0, 0, 0, 0, Vec2(ox, oy)), BIG_RATIONALS, BIG_RATIONALS),
 )
-# Fraction points, and the int-valued vectors that `IntMat2.column_sum` builds
+# Fraction points, and int-valued vectors
 POINTS = st.one_of(
     st.builds(Vec2, BIG_RATIONALS, BIG_RATIONALS),
-    st.builds(lambda *e: IntMat2(*e).column_sum(), *[st.integers(-(10**30), 10**30)] * 4),
+    st.builds(Vec2, *[st.integers(-(10**30), 10**30)] * 2),
 )
 
 
 @given(AFFINE_MAPS, POINTS)
-@example(AffineMap.linear(0, 0, 0, 0), IntMat2(1, 2, 3, 4).column_sum())
+@example(AffineMap.linear(0, 0, 0, 0), Vec2(3, 7))
 @settings(max_examples=200, deadline=None)
 def test_affine_map_matches_entrywise_fractions(f, v):
     x, y = Fraction(v.x), Fraction(v.y)
