@@ -128,8 +128,9 @@ def _charge_rows(polygon: Polygon, i: int) -> tuple[range, list[_Span], list[_Sp
     if i < 1:
         raise ValueError("dilation factor must be a positive integer")
     form = polygon.integer
+    scale = form.scale
     low, high = form.heights
-    rows = range(-(-low * i // form.scale), high * i // form.scale + 1)
+    rows = range(-(-low * i // scale), high * i // scale + 1)
     # the row count as stop - start: len() overflows past sys.maxsize rows
     n = rows.stop - rows.start
     _charge_budget(n, "enumeration scans {} rows", n)
@@ -137,7 +138,7 @@ def _charge_rows(polygon: Polygon, i: int) -> tuple[range, list[_Span], list[_Sp
     for chain, out in zip((form.right, form.left), spans):
         y0 = rows.start
         for top, a, c, b in chain:
-            y1 = top * i // form.scale
+            y1 = top * i // scale
             out.append((y0, y1, a * i, c, b))
             y0 = y1 + 1
     return rows, *spans

@@ -161,6 +161,25 @@ def test_record_survives_pickling(name):
     assert copy == record and hash(copy) == hash(record) and repr(copy) == repr(record)
 
 
+def test_polygon_value_is_its_integer_form():
+    polygon = Polygon.from_coords([(0, 0), (3, 0), (0, 3)])
+    assert hash(polygon) == hash((polygon.integer,))
+    assert polygon._sum_constant is None
+    # the counting gate's one write goes around the refusal
+    object.__setattr__(polygon, "_sum_constant", (1, 1))
+    assert polygon._sum_constant == (1, 1) and polygon == Polygon.from_coords([(0, 3), (0, 0), (3, 0)])
+
+
+@pytest.mark.parametrize("cls, name, kind", [
+    (Polygon, "from_coords", staticmethod),
+    (SymmetryGroup, "generated_by", classmethod),
+    (PointConfiguration, "of", staticmethod),
+])
+def test_constructors_live_in_their_own_class(cls, name, kind):
+    # perfbench's tracer rebinds these in the class's own __dict__
+    assert type(cls.__dict__[name]) is kind
+
+
 def test_decomposition_value_is_its_named_fields():
     record = RECORDS["Decomposition"]
     copy = pickle.loads(pickle.dumps(record))
