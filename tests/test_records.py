@@ -1,14 +1,12 @@
-"""The library's value records are named tuples, or small classes where
-construction validates or caches, and none is a dataclass.
+"""The library's value records: named tuples, or small classes where
+construction validates or caches.
 
-A record keeps the behaviour the package relied on as a frozen dataclass:
 `Vec2` arithmetic is vector arithmetic, not tuple repetition or
 concatenation; `CornerCut` and `PointConfiguration` validate when built
-directly and raise the same exception types; no record takes an
-assignment; every record survives a pickle round trip. A named tuple also
-equals the plain tuple with its entries, so the replication suite and the
-recorded CLI cases run with every comparison of a `Vec2` against another
-kind of tuple recorded, and none may happen.
+directly; no record takes an assignment; every record survives a pickle
+round trip. A named tuple equals the plain tuple with its entries, so the
+replication suite and the recorded CLI cases run with every comparison of
+a `Vec2` against another kind of tuple recorded, and none may happen.
 """
 
 from __future__ import annotations
@@ -72,8 +70,8 @@ class TestVec2Arithmetic:
 
 
 class TestValidatingRecords:
-    """Built directly, not through `of`, the validating records coerce and
-    refuse as they did as dataclasses."""
+    """Built directly, not through `of`, the validating records coerce
+    their fields and refuse bad ones."""
 
     def test_corner_cut_coerces_vertex_and_depth(self):
         cut = CornerCut((0, 2), 1)
