@@ -28,7 +28,7 @@ build one Fraction per output coordinate, at the end.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .errors import (
@@ -47,6 +47,7 @@ from .geometry import (
     ZERO_VEC,
     _from_integers,
     _hull,
+    _over_common_denominator,
     _read_only,
     area,
     boundary_moment,
@@ -189,18 +190,20 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
     frames = tuple(corner_frame(base, idx) for idx in indices)
 
     # The base's vertices and the seam points as integer pairs at scale k,
-    # the lcm of the base's scale and the depths' denominators. It is the
-    # least lattice multiple L of the chopped polygon: the chopped vertices
-    # are integral at k, so L divides k. At L each seam depth*(p - n) is
-    # integral, and p - n is primitive as the frame (n, p) has det 1, so
-    # L*depth is an integer; every base vertex, uncut or a seam point less
-    # depth*n, is then integral at L, so k divides L.
+    # the least common denominator of 1/L0 and the depths, for L0 the
+    # base's scale: the least k at which k/L0 and each m = k*depth are
+    # integers. It is the least lattice multiple L of the chopped polygon:
+    # the chopped vertices are integral at k, so L divides k. At L each
+    # seam depth*(p - n) is integral, and p - n is primitive as the frame
+    # (n, p) has det 1, so L*depth is an integer; every base vertex, uncut
+    # or a seam point less depth*n, is then integral at L, so L0 divides L
+    # and k divides L.
     form = base.integer
-    k = lcm(form.scale, *(cut.depth.denominator for cut in cuts))
-    up = k // form.scale
+    (up, *m), k = _over_common_denominator(
+        Fraction(1, form.scale), *(cut.depth for cut in cuts)
+    )
     verts = [(x * up, y * up) for x, y in form.vertices]
     n = len(verts)
-    m = tuple(cut.depth.numerator * (k // cut.depth.denominator) for cut in cuts)
     seam_points: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
     for idx, cut, depth, frame in zip(indices, cuts, m, frames):
         vx, vy = verts[idx]
@@ -267,7 +270,7 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
         ),
         frames=frames,
         k=k,
-        m=m,
+        m=tuple(m),
         m_sum=m_sum,
         m_square_sum=m_square_sum,
         a_const=a_const,
@@ -386,15 +389,6 @@ class BlowupVerification(NamedTuple):
         return all(lhs == rhs for _, lhs, rhs in self.entries)
 
 
-def _over_common_denominator(*coefficients) -> tuple[list[int], int]:
-    """The numerators of exact rationals over their least common
-    denominator, and that denominator. `as_integer_ratio` reads an int or
-    a Fraction (and a float, exactly) without building a Fraction."""
-    ratios = [c.as_integer_ratio() for c in coefficients]
-    denominator = lcm(*(q for _, q in ratios))
-    return [n * (denominator // q) for n, q in ratios], denominator
-
-
 def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVerification:
     """Compare the blow-up identity with direct enumeration for i = 1..i_max.
 
@@ -404,9 +398,9 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     weight is `chow._polygon_weight` of it and of the (count, sum of x,
     sum of y) of the i-th dilation, over 6i.
     The identity side, `chow_after_blowup` with c2 included, is brought
-    over one denominator per coordinate once, so at each i both sides are
-    integer numerators compared by cross-multiplying, and one Fraction per
-    coordinate is built for the report. Raises VerificationMismatch on the
+    over one denominator for both coordinates once, so at each i both
+    sides are integer numerators compared by cross-multiplying, and one
+    Fraction per coordinate is built for the report. Raises VerificationMismatch on the
     first unequal dilation, carrying the full report assembled so far; its
     message names the scaled chopped polygon, k, the base and the cuts.
     The rows of the i_max scans are charged to the budget before any work.
@@ -417,23 +411,20 @@ def verify_blowup_theorem(decomposition: Decomposition, i_max: int) -> BlowupVer
     target = d.scaled_chopped()
     _charge_dilations(target, i_max, i_max, f"blow-up verification to i_max={i_max}")
     identity_side = chow_after_blowup(d)
-    # the identity side per coordinate: c2, c1 and c0 over one denominator
-    (x2, x1, x0), qx = _over_common_denominator(
-        identity_side.c2.x, identity_side.c1.x, identity_side.c0.x
-    )
-    (y2, y1, y0), qy = _over_common_denominator(
-        identity_side.c2.y, identity_side.c1.y, identity_side.c0.y
+    # the identity side: c2, c1 and c0 of both coordinates over one q
+    (x2, y2, x1, y1, x0, y0), q = _over_common_denominator(
+        *identity_side.c2, *identity_side.c1, *identity_side.c0
     )
     entries: list[tuple[int, Vec2, Vec2]] = []
     for i in range(1, i_max + 1):
-        # the identity side over qx and qy, the enumerated side over 6i
+        # the identity side over q, the enumerated side over 6i
         lx, ly = (x2 * i + x1) * i + x0, (y2 * i + y1) * i + y0
         ex, ey, _ = _polygon_weight(target, lattice_moments(target, i), i)
         rhs = Vec2(Fraction(ex, 6 * i), Fraction(ey, 6 * i))
-        if lx * 6 * i == ex * qx and ly * 6 * i == ey * qy:
+        if lx * 6 * i == ex * q and ly * 6 * i == ey * q:
             entries.append((i, rhs, rhs))
             continue
-        lhs = Vec2(Fraction(lx, qx), Fraction(ly, qy))
+        lhs = Vec2(Fraction(lx, q), Fraction(ly, q))
         entries.append((i, lhs, rhs))
         where = (
             f" on the scaled chopped polygon {target.vertex_text()} "

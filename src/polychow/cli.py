@@ -271,17 +271,10 @@ def _cmd_fo(args) -> tuple[dict, int]:
 def _cmd_mukai(args) -> tuple[dict, int]:
     configuration = load_points(args.file)
     result = mukai_classify(configuration)
-    witness = result.witness
     return {
         "points": len(configuration),
         "verdict": result.verdict,
-        "witness": {
-            "dim": witness.dim,
-            "coordinates": witness.coordinates,
-            "incident": witness.incident,
-            "ratio": witness.ratio,
-            "bound": witness.bound,
-        },
+        "witness": result.witness._asdict(),
     }, 0
 
 

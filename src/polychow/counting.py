@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import EnumerationLimitExceeded, InternalInconsistency, NotLatticePolygon
@@ -41,10 +40,9 @@ DEFAULT_MAX_ENUM = 10**8
 _Span = tuple[int, int, int, int, int]  # (y0, y1, a, c, b), see `_charge_rows`
 
 
-@lru_cache(maxsize=1)
 def _parse_cap(raw: str) -> int:
-    """The cap that the value of POLYCHOW_MAX_ENUM sets, parsed once per
-    distinct string; a value that is not a positive integer is refused."""
+    """The cap that the value of POLYCHOW_MAX_ENUM sets; a value that is
+    not a positive integer is refused."""
     try:
         budget = int(raw)
     except ValueError as exc:

@@ -193,10 +193,12 @@ class AffineMap(NamedTuple):
         return self.det() != 0
 
     def linear_apply(self, v: Vec2) -> Vec2:
-        return self._apply_over(*_over_common_denominator(v))
+        (x, y), den = _over_common_denominator(*v)
+        return self._apply_over(x, y, den)
 
     def apply(self, v: Vec2) -> Vec2:
-        return self._apply_over(*_over_common_denominator(v), 1)
+        (x, y), den = _over_common_denominator(*v)
+        return self._apply_over(x, y, den, 1)
 
     def _apply_over(self, x: int, y: int, den: int, weight: int = 0) -> Vec2:
         """f_linear((x, y) / den) + weight * offset for ints x, y, weight and
@@ -210,11 +212,13 @@ class AffineMap(NamedTuple):
         )
 
 
-def _over_common_denominator(v: Vec2) -> tuple[int, int, int]:
-    """(x, y, den) with v = (x, y) / den, for int or Fraction coordinates."""
-    px, qx = v.x.as_integer_ratio()
-    py, qy = v.y.as_integer_ratio()
-    return px * qy, py * qx, qx * qy
+def _over_common_denominator(*values) -> tuple[list[int], int]:
+    """The numerators of exact rationals over their least common
+    denominator, and that denominator. `as_integer_ratio` reads an int or
+    a Fraction without building a Fraction."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*(q for _, q in ratios))
+    return [n * (den // q) for n, q in ratios], den
 
 
 def _row_over(a, b, t, x: int, y: int, den: int, weight: int) -> Fraction:
@@ -271,13 +275,8 @@ class IntegerForm(NamedTuple):
 def _scaled_to_integers(points: Sequence[Vec2]) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The lcm L of the points' coordinate denominators, and the points
     L*v as integer pairs (in the same order; L > 0 keeps their order)."""
-    scale = 1
-    for v in points:
-        scale = lcm(scale, v.x.denominator, v.y.denominator)
-    return scale, tuple(
-        (v.x.numerator * (scale // v.x.denominator), v.y.numerator * (scale // v.y.denominator))
-        for v in points
-    )
+    nums, scale = _over_common_denominator(*(c for v in points for c in v))
+    return scale, tuple(zip(nums[::2], nums[1::2]))
 
 
 def _integer_form(scale: int, pts: tuple[tuple[int, int], ...]) -> IntegerForm:
@@ -470,7 +469,7 @@ def primitive_direction(d: Vec2) -> tuple[int, int]:
     """Primitive integer vector parallel to d (same orientation)."""
     if d.x == 0 and d.y == 0:
         raise ValueError("zero vector has no direction")
-    _, ((mx, my),) = _scaled_to_integers([d])
+    (mx, my), _ = _over_common_denominator(*d)
     g = gcd(mx, my)
     return (mx // g, my // g)
 

@@ -13,7 +13,7 @@ between the two averages), so the invariant is exposed as a vector.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .errors import (
@@ -26,6 +26,7 @@ from .geometry import (
     IntMat2,
     Polygon,
     Vec2,
+    _over_common_denominator,
     area,
     to_fraction,
 )
@@ -222,9 +223,8 @@ class PointConfiguration(NamedTuple("PointConfiguration", [("points", tuple[tupl
                 raise ValueError(f"projective point needs three coordinates: {row!r}")
             if any(isinstance(c, float) for c in row):
                 raise ValueError("projective coordinates must be exact rationals")
-            fracs = [to_fraction(c) for c in row]
-            common = lcm(*(c.denominator for c in fracs))
-            normalized.append(_primitive_triple(tuple(int(c * common) for c in fracs)))
+            coords, _ = _over_common_denominator(*(to_fraction(c) for c in row))
+            normalized.append(_primitive_triple(tuple(coords)))
         return PointConfiguration(tuple(normalized))
 
     def __len__(self) -> int:

@@ -6,7 +6,10 @@ library, every module-level constant of a library module is read
 somewhere in the library, and every `InternalInconsistency` raised in the
 library formats a polygon's `vertex_text()`, every
 `VerificationMismatch` is raised with a `where`, and no library call hands
-`linear_apply` or `apply` a `Vec2` built from `Fraction`s. A fresh
+`linear_apply` or `apply` a `Vec2` built from `Fraction`s. Rationals are
+put over a common denominator by `geometry._over_common_denominator`
+alone: it is the one function of that name and the one caller of
+`lcm`. A fresh
 interpreter that imports `polychow` or `polychow.cli` loads neither
 `dataclasses` nor the replication suite.
 
@@ -248,6 +251,43 @@ def test_affine_maps_take_integer_numerators():
     found, seen = _fraction_vectors_applied()
     assert seen >= 1
     assert found == []
+
+
+def _common_denominator_sites() -> tuple[list[str], list[str], int]:
+    """Every call of `lcm` (bare or as an attribute) in the library outside
+    the body of `geometry._over_common_denominator`, and every definition
+    of a function of that name outside `geometry.py`, as `file:line`; and
+    how many definitions `geometry.py` has."""
+    calls: list[str] = []
+    others: list[str] = []
+    home = 0
+    for name in MODULES:
+        tree = _tree(PACKAGE / name)
+        inside: set[int] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_over_common_denominator":
+                if name == "geometry.py":
+                    home += 1
+                    inside.update(id(n) for n in ast.walk(node))
+                else:
+                    others.append(f"{name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in inside:
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == "lcm":
+                calls.append(f"{name}:{node.lineno}")
+    return calls, others, home
+
+
+def test_one_common_denominator_rule():
+    # one name, one signature and one body for putting rationals over
+    # their least common denominator; `denominator_lcm` is a different name
+    calls, others, home = _common_denominator_sites()
+    assert home == 1
+    assert calls == []
+    assert others == []
 
 
 @pytest.mark.parametrize("module", ["polychow", "polychow.cli"])

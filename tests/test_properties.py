@@ -49,6 +49,7 @@ from polychow import (
     translate,
 )
 from polychow.counting import _floor_sums
+from polychow.geometry import _over_common_denominator
 
 ID = AffineMap.identity()
 
@@ -122,6 +123,25 @@ def test_affine_map_matches_entrywise_fractions(f, v):
     for got, expected in ((f.linear_apply(v), linear), (f.apply(v), linear + f.offset)):
         assert got == expected
         assert_exact(got)
+
+
+RATIONALS = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=60))
+
+
+@given(st.lists(RATIONALS, min_size=1, max_size=7))
+@example([7])
+@example([Fraction(-3, 4)])
+@example([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
+@example([Fraction(5, 6), Fraction(7, 4), 3, Fraction(-1, 12)])
+@example([0, -2, 5])
+@settings(max_examples=200, deadline=None)
+def test_over_common_denominator_is_the_least(values):
+    numerators, den = _over_common_denominator(*values)
+    assert type(den) is int and den == lcm(*(Fraction(v).denominator for v in values))
+    assert len(numerators) == len(values)
+    for numerator, value in zip(numerators, values):
+        assert type(numerator) is int
+        assert Fraction(numerator, den) == value
 
 
 @given(st.sampled_from(CORPUS), AFFINE_MAPS, st.integers(1, 3))
