@@ -8,10 +8,9 @@ library formats a polygon's `vertex_text()`, every
 `VerificationMismatch` is raised with a `where`, and no library call hands
 `linear_apply` or `apply` a `Vec2` built from `Fraction`s. Rationals are
 put over a common denominator by `geometry._over_common_denominator`
-alone: it is the one function of that name and the one caller of
-`lcm`. A fresh
-interpreter that imports `polychow` or `polychow.cli` loads neither
-`dataclasses` nor the replication suite.
+alone: it is the one function of that name and the one caller of `lcm`.
+A fresh interpreter that imports `polychow` or `polychow.cli` loads
+neither `dataclasses` nor the replication suite.
 
 `__init__.py` is left out of the import check: its imports are the
 package's public names. Names in quoted annotations count as uses, and so
