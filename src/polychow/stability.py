@@ -103,7 +103,9 @@ class SymmetryGroup(NamedTuple):
                 if len(powers) > GROUP_CLOSURE_CAP:
                     raise GroupClosureOverflow(_CLOSURE_OVERFLOW)
             elements = powers
-        # filled in walk order, the set fixes the frozenset's iteration order
+        # filled one element at a time from the set's iteration, not copied
+        # from the set whole, the frozenset lists its elements in the order
+        # that tests/golden/library_repr.json pins
         return cls(frozenset(iter(elements)))
 
     def __len__(self) -> int:

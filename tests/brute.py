@@ -201,3 +201,24 @@ def mukai_brute(points) -> tuple[str, int, tuple[int, int, int], int, Fraction, 
     _, dim, coords, incident = min(c for c in candidates if c[0] == top)
     verdict = "Unstable" if top > 0 else "Borderline" if top == 0 else "Stable"
     return verdict, dim, coords, incident, Fraction(incident, n), Fraction(dim + 1, 3)
+
+
+def group_closure(generators, cap: int = 6) -> frozenset[tuple[int, int, int, int]] | None:
+    """Breadth-first closure of row-major 4-tuples under right multiplication
+    by the generators, from the identity; None once it passes `cap`
+    elements (every finite subgroup of SL2(Z) has at most 6)."""
+    identity = (1, 0, 0, 1)
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for a, b, c, d in frontier:
+            for ga, gb, gc, gd in generators:
+                product = (a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd)
+                if product not in elements:
+                    elements.add(product)
+                    fresh.append(product)
+                    if len(elements) > cap:
+                        return None
+        frontier = fresh
+    return frozenset(elements)

@@ -15,6 +15,7 @@ from polychow import (
     CornerCut,
     DegeneratePolytope,
     EnumerationLimitExceeded,
+    GroupClosureOverflow,
     IntMat2,
     OverlappingCuts,
     PointConfiguration,
@@ -668,3 +669,37 @@ def test_symmetry_predicates_match_their_definitions(points, order, factors, see
         assert central
     elif build == "orbit":
         assert is_weakly_symmetric(polygon, group)
+
+
+# every determinant-one matrix with entries in [-4, 4]
+SMALL_SL2 = [
+    IntMat2(a, b, c, d)
+    for a in range(-4, 5) for b in range(-4, 5) for c in range(-4, 5) for d in range(-4, 5)
+    if a * d - b * c == 1
+]
+
+
+@st.composite
+def conjugated_cyclic(draw) -> IntMat2:
+    p = random_unimodular(random.Random(draw(st.integers(0, 10**6))), draw(st.integers(0, 4)))
+    return p @ CYCLIC[draw(st.sampled_from(sorted(CYCLIC)))] @ IntMat2(p.d, -p.b, -p.c, p.a)
+
+
+@given(st.lists(st.one_of(st.sampled_from(SMALL_SL2), conjugated_cyclic()), max_size=3))
+@example([])
+@example([CYCLIC[2], CYCLIC[3]])  # commuting: the cyclic group of order 6
+@example([CYCLIC[3], CYCLIC[6]])  # the first group inside the second
+@example([CYCLIC[4], IntMat2(1, 1, 0, 1) @ CYCLIC[4] @ IntMat2(1, -1, 0, 1)])  # 8 products
+@example([IntMat2(1, 1, 0, 1)])  # infinite order
+@settings(max_examples=400, deadline=None)
+def test_group_closure_matches_breadth_first_search(generators):
+    # walking each generator's powers gives the group that a breadth-first
+    # search over plain tuples finds, and refuses exactly when it does
+    expected = brute.group_closure([tuple(g) for g in generators])
+    try:
+        elements = SymmetryGroup.generated_by(generators).elements
+    except GroupClosureOverflow:
+        assert expected is None
+    else:
+        assert elements == expected
+        assert all(type(g) is IntMat2 for g in elements)

@@ -111,6 +111,12 @@ class TestSymmetry:
             SymmetryGroup.generated_by([IntMat2.from_rows((1, 2), (0, -1))])
         assert str(excinfo.value) == "generator [[1, 2], [0, -1]] must have determinant one"
 
+    def test_every_determinant_checked_before_any_closure(self):
+        # the first generator alone would overflow; the second's determinant
+        # is refused first
+        with pytest.raises(ValueError, match="^generator \\[\\[1, 0\\], \\[0, -1\\]\\] must"):
+            SymmetryGroup.generated_by([IntMat2(1, 1, 0, 1), IntMat2(1, 0, 0, -1)])
+
     def test_infinite_group_overflows(self):
         with pytest.raises(GroupClosureOverflow):
             SymmetryGroup.generated_by([IntMat2.from_rows((1, 1), (0, 1))])
@@ -355,6 +361,32 @@ class TestMukai:
                 brute.mukai_brute(configuration.points)
             )
             assert (w.dim, w.coordinates, w.incident) == (1, (0, 0, 1), len(points) // 2 + 1)
+
+    @pytest.mark.parametrize("n", [4, 6, 16])
+    @pytest.mark.parametrize("short", [0, 1], ids=["line of need", "line of need - 1"])
+    def test_anchor_cut_off_boundary(self, n, short):
+        # generic points on a conic, then one line on z = 0 of need or
+        # need - 1 points, in every rotation: an anchor on the line with
+        # the conic points between its line points reaches need - 1 later
+        # points only at its last one. A line of need points is the
+        # witness (unstable at n = 4, borderline at n = 6); one of need - 1
+        # does not beat the points, and a point is the witness
+        need = (n + 3) // 3 + 1
+        line = [(1, j, 0) for j in range(need - short)]
+        points = [(1, j, j * j) for j in range(1, n - len(line) + 1)] + line
+        for k in range(n):
+            configuration = config(*(points[k:] + points[:k]))
+            result = mukai_classify(configuration)
+            w = result.witness
+            assert (result.verdict, w.dim, w.coordinates, w.incident, w.ratio, w.bound) == (
+                brute.mukai_brute(configuration.points)
+            )
+            if short:
+                assert (result.verdict, w.dim) == ("Stable", 0)
+            else:
+                assert (w.dim, w.coordinates, w.incident) == (1, (0, 0, 1), need)
+                if n <= 6:
+                    assert result.verdict == ("Unstable" if n == 4 else "Borderline")
 
     def test_duplicates_rejected(self):
         with pytest.raises(DuplicatePoint):
