@@ -40,7 +40,7 @@ GROUP_CLOSURE_CAP = 6
 _CLOSURE_OVERFLOW = (
     f"group closure exceeds {GROUP_CLOSURE_CAP} elements; the generated group is infinite"
 )
-_IDENTITY = IntMat2(1, 0, 0, 1)
+_IDENTITY = IntMat2.identity()
 
 FACTORIAL_N_PLUS_1 = 6  # (n+1)! in the plane
 
@@ -98,11 +98,9 @@ class SymmetryGroup(NamedTuple):
                     raise GroupClosureOverflow(_CLOSURE_OVERFLOW)
                 powers.add(IntMat2._make((a, b, c, d)))
                 a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
-            if len(elements) > 1:
-                powers = {x @ p for p in powers for x in elements}
-                if len(powers) > GROUP_CLOSURE_CAP:
-                    raise GroupClosureOverflow(_CLOSURE_OVERFLOW)
-            elements = powers
+            elements = {x @ p for p in powers for x in elements} if len(elements) > 1 else powers
+            if len(elements) > GROUP_CLOSURE_CAP:
+                raise GroupClosureOverflow(_CLOSURE_OVERFLOW)
         # filled one element at a time from the set's iteration, not copied
         # from the set whole, the frozenset lists its elements in the order
         # that tests/golden/library_repr.json pins
