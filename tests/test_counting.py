@@ -244,6 +244,21 @@ class TestClosedFormGates:
                 ehrhart_poly(polygon)
         assert scans == [(polygon, 1)] * 2
 
+    def test_refused_dilation_stores_nothing(self, monkeypatch, scans):
+        # the triangle's dilations 1, 2 and 3 have 4, 7 and 10 rows: a cap
+        # of 7 admits the first two scans and refuses the third, every time
+        monkeypatch.setenv("POLYCHOW_MAX_ENUM", "7")
+        polygon = Polygon.from_coords([(0, 0), (3, 0), (0, 3)])
+        for _ in range(2):
+            with pytest.raises(EnumerationLimitExceeded) as excinfo:
+                ehrhart_poly(polygon)
+            assert str(excinfo.value) == (
+                "enumeration scans 10 rows, over the cap of 7 "
+                "(set POLYCHOW_MAX_ENUM to raise the cap)"
+            )
+            assert polygon._sum_constant is None
+        assert scans == [(polygon, i) for i in (1, 2, 3)] * 2
+
     def test_gate_leaves_equality_hash_and_repr(self):
         coords = [(0, 0), (3, 0), (0, 3)]
         polygon, twin = Polygon.from_coords(coords), Polygon.from_coords(coords)
