@@ -3,14 +3,14 @@
 Enumeration is the single source of truth here. Each row of a dilation
 runs from a floor bound on its left chain edge to one on its right edge.
 The polygon's integer form holds the chains of the first dilation, built
-by its constructor's edge loop; one kernel entry, `_charge_rows`, charges
-the rows of the i-th dilation and hands out each chain edge's span of rows,
-and `lattice_moments` sums the bounds span by span with floor sums into
-(count, sum of x, sum of y), in O(log) steps per edge and without visiting
-a row. Every count or sum below is one call to it. `lattice_points` takes
-its count from the same floor sums, is charged for rows plus points before
-it visits any row, and lists each edge's rows from the same bounds into
-per-column lists; there is no separate row scan and no sort of the points.
+by its constructor's edge loop. One kernel, `_dilation_moments`, charges
+the rows of each dilation it is given just before its scan and sums the
+bounds edge by edge with floor sums into (count, sum of x, sum of y), in
+O(log) steps per edge and without visiting a row; every count or sum
+below is one call to it. `lattice_points` takes its count from it, is
+charged for rows plus points before it visits any row, and lists each
+edge's rows from the same bounds into per-column lists; there is no
+separate row scan and no sort of the points.
 The Ehrhart polynomial comes from Pick's theorem and the point-sum
 polynomial from the Euler-Maclaurin form of the lattice-normalized
 boundary measure, with one enumerated constant; one builder checks both
@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EnumerationLimitExceeded, InternalInconsistency, NotLatticePolygon
 from .geometry import (
@@ -37,12 +37,14 @@ from .geometry import (
 
 MAX_ENUM_ENV = "POLYCHOW_MAX_ENUM"
 DEFAULT_MAX_ENUM = 10**8
-_Span = tuple[int, int, int, int, int]  # (y0, y1, a, c, b), see `_charge_rows`
 
 
-def _parse_cap(raw: str) -> int:
-    """The cap that the value of POLYCHOW_MAX_ENUM sets; a value that is
-    not a positive integer is refused."""
+def _max_enum() -> int:
+    """The cap in POLYCHOW_MAX_ENUM, read at each call, or DEFAULT_MAX_ENUM
+    when it is unset; a value that is not a positive integer is refused."""
+    raw = os.environ.get(MAX_ENUM_ENV)
+    if raw is None:
+        return DEFAULT_MAX_ENUM
     try:
         budget = int(raw)
     except ValueError as exc:
@@ -52,17 +54,19 @@ def _parse_cap(raw: str) -> int:
     return budget
 
 
+def _over_cap(work: str, budget: int) -> EnumerationLimitExceeded:
+    return EnumerationLimitExceeded(
+        f"{work}, over the cap of {budget} (set {MAX_ENUM_ENV} to raise the cap)"
+    )
+
+
 def _charge_budget(units: int, what: str, *parts: object) -> None:
     """Refuse `units` of work over the cap in POLYCHOW_MAX_ENUM. `what`
     says what the work is, as a format string for `parts`; the message is
     formatted only when the work is refused."""
-    raw = os.environ.get(MAX_ENUM_ENV)
-    budget = DEFAULT_MAX_ENUM if raw is None else _parse_cap(raw)
+    budget = _max_enum()
     if units > budget:
-        raise EnumerationLimitExceeded(
-            f"{what.format(*parts)}, over the cap of {budget} "
-            f"(set {MAX_ENUM_ENV} to raise the cap)"
-        )
+        raise _over_cap(what.format(*parts), budget)
 
 
 def _charge_dilations(polygon: Polygon, calls: int, top: int, knob: str) -> None:
@@ -105,43 +109,6 @@ class VecPoly(NamedTuple):
         return self.c2 == ZERO_VEC and self.c1 == ZERO_VEC and self.c0 == ZERO_VEC
 
 
-def _charge_rows(polygon: Polygon, i: int) -> tuple[range, list[_Span], list[_Span]]:
-    """The rows of the i-th dilation, every integer y between its lowest and
-    highest vertex, charged to the budget before any work on them, and its
-    right and left chains, each edge once as the span (y0, y1, a, c, b) of
-    the rows y0 .. y1 it bounds, bottom to top. Every count, sum or listing
-    of a dilation starts here, once; the rows bound the size of the input,
-    whether or not they are visited.
-
-    The polygon's integer form (its vertices scaled by the lcm L of their
-    denominators) holds the heights and the chains of the first dilation;
-    see `IntegerForm` for the edge inequality. Row y's last point is
-    (a + c*y) // b on its right edge and its first point is
-    -((a + c*y) // b) on its left edge. Dilating by i multiplies the
-    vertices and the tops by i, a by i^2 and c and b by i; as
-    (i^2*a + i*c*y) // (i*b) = (i*a + c*y) // b, only the tops and the
-    offsets a are scaled here. An edge bounds the rows above the span of the
-    edge below it, up to its own top row i*top // L (none when y1 < y0).
-    """
-    if i < 1:
-        raise ValueError("dilation factor must be a positive integer")
-    form = polygon.integer
-    scale = form.scale
-    low, high = form.heights
-    rows = range(-(-low * i // scale), high * i // scale + 1)
-    # the row count as stop - start: len() overflows past sys.maxsize rows
-    n = rows.stop - rows.start
-    _charge_budget(n, "enumeration scans {} rows", n)
-    spans: tuple[list[_Span], list[_Span]] = ([], [])
-    for chain, out in zip((form.right, form.left), spans):
-        y0 = rows.start
-        for top, a, c, b in chain:
-            y1 = top * i // scale
-            out.append((y0, y1, a * i, c, b))
-            y0 = y1 + 1
-    return rows, *spans
-
-
 def _floor_sums(a: int, c: int, b: int, n: int) -> tuple[int, int, int]:
     """(sum f, sum f^2, sum t*f) over t = 0 .. n-1 of f(t) = (a + c*t) // b,
     for b > 0 (zeros when n = 0), by the Euclidean floor-sum recursion:
@@ -151,7 +118,7 @@ def _floor_sums(a: int, c: int, b: int, n: int) -> tuple[int, int, int]:
     levels, so the recursion is at most about 2*log2(n) deep: under 60
     levels for the 10^8 rows of the default budget. A raised budget can
     admit rows past the interpreter's recursion limit, about 2^450 rows on
-    golden-ratio slopes; `_moments` refuses those."""
+    golden-ratio slopes; `_dilation_moments` refuses those."""
     qa, a = divmod(a, b)
     qc, c = divmod(c, b)
     # f(t) = qa + qc*t + r(t) with r(t) = (a + c*t) // b and 0 <= a, c < b
@@ -173,59 +140,84 @@ def _floor_sums(a: int, c: int, b: int, n: int) -> tuple[int, int, int]:
     return s, q, t
 
 
-def _moments(rows: range, right: list[_Span], left: list[_Span]) -> tuple[int, int, int]:
-    """(count, sum of x, sum of y) over the rows, from floor sums over each
-    chain edge's span of rows y0 .. y1, as `_charge_rows` hands them out.
+def _dilation_moments(polygon: Polygon, dilations: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """(count, sum of x, sum of y) over the integer points of each dilation
+    in turn, by floor sums over each chain edge's span of rows. The integer
+    form is unpacked and the cap read once; each dilation's rows, every
+    integer y between its lowest and highest vertex, are charged just
+    before its own scan (row counts are not monotone in i on a rational
+    polygon), so a caller that stops early pays for nothing more.
 
-    Row y runs from first = -G(y) to last = F(y), the bounds of its left
-    and right edges, and F + G + 1 = last - first + 1 >= 0 on every row of
-    a convex polygon: a row without points has length 0, never less. So
-    over the n rows, count = sum F + sum G + n,
-    2 * sum x = sum (F - G) * (F + G + 1) = sum F^2 + F - G^2 - G and
-    sum y = sum y*F + sum y*G + sum y. Floor sums that recurse past the
+    The integer form (see `IntegerForm`) holds the heights and chains of
+    the first dilation, scaled by the lcm L of the vertex denominators. Row
+    y runs from -G(y) to F(y), the floors (a + c*y) // b of its left and
+    right edges. Dilating by i scales the tops by i, a by i^2 and c and b
+    by i, and (i^2*a + i*c*y) // (i*b) = (i*a + c*y) // b. An edge bounds
+    the rows y0 .. y1 above the edge below it, up to y1 = i*top // L (none
+    when y1 < y0). F + G + 1 >= 0 on every row of a convex polygon, so over
+    the n rows count = sum F + sum G + n, 2 * sum x = sum F^2 + F - G^2 - G
+    and sum y = sum y*F + sum y*G + sum y. Floor sums that recurse past the
     interpreter's limit raise EnumerationLimitExceeded.
     """
-    n = rows.stop - rows.start
-    count, sx2, sy = n, 0, (rows.start + rows.stop - 1) * n // 2
-    for chain, sign in ((right, 1), (left, -1)):
-        for y0, y1, a, c, b in chain:
-            try:
-                f, f2, tf = _floor_sums(a + c * y0, c, b, y1 - y0 + 1)
-            except RecursionError:
-                raise EnumerationLimitExceeded(
-                    f"floor sums over {n} rows recurse past the interpreter's limit"
-                ) from None
-            count += f
-            sx2 += sign * (f2 + f)
-            sy += y0 * f + tf
-    return count, sx2 // 2, sy
+    form = polygon.integer
+    scale, (low, high), right, left = form.scale, form.heights, form.right, form.left
+    budget = 0  # read after the first dilation's check; a cap is >= 1
+    for i in dilations:
+        if i < 1:
+            raise ValueError("dilation factor must be a positive integer")
+        if not budget:
+            budget = _max_enum()
+        start, stop = -(-low * i // scale), high * i // scale + 1
+        n = stop - start  # not a range's len(), which overflows past sys.maxsize
+        if n > budget:
+            raise _over_cap(f"enumeration scans {n} rows", budget)
+        count, sx2, sy = n, 0, (start + stop - 1) * n // 2
+        try:
+            for chain, sign in ((right, 1), (left, -1)):
+                y0 = start
+                for top, a, c, b in chain:
+                    y1 = top * i // scale
+                    f, f2, tf = _floor_sums(a * i + c * y0, c, b, y1 - y0 + 1)
+                    count += f
+                    sx2 += sign * (f2 + f)
+                    sy += y0 * f + tf
+                    y0 = y1 + 1
+        except RecursionError:
+            raise EnumerationLimitExceeded(
+                f"floor sums over {n} rows recurse past the interpreter's limit"
+            ) from None
+        yield count, sx2 // 2, sy
 
 
 def lattice_moments(polygon: Polygon, i: int) -> tuple[int, int, int]:
     """(count, sum of x, sum of y) over the integer points of the i-th
-    dilation, from floor sums over each chain edge's span of rows; no row
-    is visited and no point list is built."""
-    return _moments(*_charge_rows(polygon, i))
+    dilation: one dilation of `_dilation_moments`."""
+    return next(_dilation_moments(polygon, (i,)))
 
 
 def lattice_points(polygon: Polygon, i: int) -> list[tuple[int, int]]:
     """All integer points of the i-th dilation, lexicographically sorted.
-    The floor sums count the points first, and the rows plus the points are
-    charged to the budget before any row is visited; then each chain edge
-    gives the bound of each row of its span y0 .. y1 from `_charge_rows`,
-    one floor division per row. Rows
-    are visited bottom to top into per-column lists, joined by sorted x:
-    no sort of the points. Columns are keyed by x, as a thin slanted
-    polygon can be far wider than its rows plus points."""
-    rows, right, left = _charge_rows(polygon, i)
-    count = _moments(rows, right, left)[0]
+    `lattice_moments` counts the points first, and the rows plus the points
+    are charged to the budget before any row is visited; then each chain
+    edge of the integer form bounds each row of its span, as in
+    `_dilation_moments`, one floor division per row. Rows are visited
+    bottom to top into per-column lists, joined by sorted x: no sort of
+    the points. Columns are keyed by x, as a thin slanted polygon can be
+    far wider than its rows plus points."""
+    count = lattice_moments(polygon, i)[0]
+    form = polygon.integer
+    scale, (low, high) = form.scale, form.heights
+    rows = range(-(-low * i // scale), high * i // scale + 1)
     n = rows.stop - rows.start
     _charge_budget(n + count, "point listing scans {} rows plus {} points", n, count)
     f_rows: list[int] = []  # F(y), the last point of each row
     g_rows: list[int] = []  # G(y), minus the first point of each row
-    for chain, bounds in ((right, f_rows), (left, g_rows)):
-        for y0, y1, a, c, b in chain:
-            bounds += [(a + c * y) // b for y in range(y0, y1 + 1)]
+    for chain, bounds in ((form.right, f_rows), (form.left, g_rows)):
+        y0 = rows.start
+        for top, a, c, b in chain:
+            y1 = top * i // scale
+            bounds += [(a * i + c * y) // b for y in range(y0, y1 + 1)]
+            y0 = y1 + 1
     # a row without points has F + G = -1 and adds nothing
     columns: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     for y, f, g in zip(rows, f_rows, g_rows):
@@ -257,9 +249,9 @@ def _counting_and_sum_polys(polygon: Polygon) -> tuple[int, int]:
     Euler-Maclaurin with the lattice-normalized boundary measure gives 12
     times its coordinate sums as 2*M*i^3 + 3*BM*i^2 + C*i, so
     s(i) = (M/6)*i^2 + (BM/4)*i + C/12 with C = 12*s(1) - 2*M - 3*BM from
-    the scan at i = 1. The scans at i = 1, 2, 3 check E at all three and s
-    at 2 and 3, in those ints; a mismatch raises InternalInconsistency.
-    Every caller builds its Fractions from these ints once.
+    the scan at i = 1. One kernel call scans i = 1, 2, 3, checking E at all
+    three and s at 2 and 3 in those ints; the first mismatch raises
+    InternalInconsistency and scans no more. Callers build Fractions once.
 
     The gate runs once per polygon object: once it passes, (cx, cy) is
     stored in `Polygon._sum_constant` and returned by later calls. A gate
@@ -272,8 +264,7 @@ def _counting_and_sum_polys(polygon: Polygon) -> tuple[int, int]:
     form = polygon.integer
     a2, b = form.twice_area, form.boundary_length
     (mx, my), (bx, by) = form.moment, form.boundary_moment
-    for i in (1, 2, 3):
-        count, sx, sy = lattice_moments(polygon, i)
+    for i, (count, sx, sy) in enumerate(_dilation_moments(polygon, (1, 2, 3)), 1):
         if i == 1:
             cx, cy = 12 * sx - 2 * mx - 3 * bx, 12 * sy - 2 * my - 3 * by
         e2 = (a2 * i + b) * i + 2

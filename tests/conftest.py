@@ -53,18 +53,21 @@ def nonagon(octagon) -> Polygon:
 
 @pytest.fixture
 def scans(monkeypatch) -> list[tuple[Polygon, int]]:
-    """(polygon, i) of every kernel call made while the test runs: each
-    count, sum or listing of a dilation charges its rows once."""
+    """(polygon, i) of every dilation the kernel scans while the test runs,
+    in order: each count, sum or listing of a dilation scans it once."""
+    import polychow.blowup as blowup
     import polychow.counting as counting
 
     calls: list[tuple[Polygon, int]] = []
-    charge_rows = counting._charge_rows
+    dilation_moments = counting._dilation_moments
 
-    def counted_charge_rows(polygon, i):
-        calls.append((polygon, i))
-        return charge_rows(polygon, i)
+    def counted_dilation_moments(polygon, dilations):
+        for i in dilations:
+            calls.append((polygon, i))
+            yield from dilation_moments(polygon, (i,))
 
-    monkeypatch.setattr(counting, "_charge_rows", counted_charge_rows)
+    for module in (counting, blowup):
+        monkeypatch.setattr(module, "_dilation_moments", counted_dilation_moments)
     return calls
 
 

@@ -10,6 +10,7 @@ import brute
 from corpus import decomposition_corpus, random_affine
 from polychow import (
     AffineMap,
+    BlowupVerification,
     CornerCut,
     CutThroughEdge,
     EnumerationLimitExceeded,
@@ -305,6 +306,41 @@ class TestBlowupIdentity:
             report = verify_blowup_theorem(d, 4)
             assert report.all_equal
             assert [i for i, _, _ in report.entries] == [1, 2, 3, 4]
+
+    def test_three_dilations_prove_every_dilation(self, hexagon):
+        d = hexagon_cut(hexagon)
+        assert verify_blowup_theorem(d, 3).proves_every_dilation
+        assert verify_blowup_theorem(d, 5).proves_every_dilation
+        short = verify_blowup_theorem(d, 2)
+        assert short.all_equal and not short.proves_every_dilation
+
+    def test_mismatch_proves_nothing(self, hexagon, monkeypatch):
+        import polychow.blowup as blowup_module
+
+        monkeypatch.setattr(blowup_module, "boundary_moment", lambda polygon: Vec2.of(1, 1))
+        with pytest.raises(VerificationMismatch) as excinfo:
+            verify_blowup_theorem(hexagon_cut(hexagon), 3)
+        assert not excinfo.value.report.proves_every_dilation
+        # a mismatch past i = 3 proves nothing either, though 1, 2 and 3 agree
+        zero = Vec2.of(0, 0)
+        entries = tuple((i, zero, zero) for i in (1, 2, 3)) + ((4, Vec2.of(1, 0), zero),)
+        assert not BlowupVerification(entries).proves_every_dilation
+
+    def test_verification_scans_each_dilation_once(self, hexagon, scans):
+        d = hexagon_cut(hexagon)
+        target = d.scaled_chopped()
+        verify_blowup_theorem(d, 4)
+        assert [i for polygon, i in scans if polygon is target] == [1, 2, 3, 4]
+
+    def test_verification_stops_at_first_mismatch(self, hexagon, scans, monkeypatch):
+        import polychow.blowup as blowup_module
+
+        d = hexagon_cut(hexagon)
+        target = d.scaled_chopped()
+        monkeypatch.setattr(blowup_module, "boundary_moment", lambda polygon: Vec2.of(1, 1))
+        with pytest.raises(VerificationMismatch):
+            verify_blowup_theorem(d, 4)
+        assert [i for polygon, i in scans if polygon is target] == [1]
 
     def test_octagon_identity_value(self, octagon):
         d = octagon_cut(octagon)

@@ -7,6 +7,7 @@ import pytest
 
 import brute
 from conftest import quadrilateral
+from corpus import decomposition_corpus, delzant_corpus
 from polychow import (
     AffineMap,
     CornerCut,
@@ -33,6 +34,7 @@ from polychow import (
     translate,
 )
 from polychow.blowup import _seam
+from polychow.counting import _dilation_moments
 
 
 def coords_of(polygon):
@@ -166,6 +168,68 @@ class TestLatticeMoments:
         unit = Polygon.from_coords([(0, 0), (1, 0), (0, 1)])
         sums = i * (i + 1) * (i + 2) // 6
         assert lattice_moments(unit, i) == ((i + 1) * (i + 2) // 2, sums, sums)
+
+
+# the triangle (0, 3/7), (1, 3/7), (0, 4/7): its dilations 1 .. 7 have
+# 0, 1, 0, 1, 0, 1 and 2 rows, so a row count is not monotone in i
+SEVENTHS = Polygon.from_coords([(0, Fraction(3, 7)), (1, Fraction(3, 7)), (0, Fraction(4, 7))])
+
+
+def _brute_moments(polygon, i):
+    points = brute.enumerate_points(coords_of(polygon), i)
+    return len(points), sum(x for x, _ in points), sum(y for _, y in points)
+
+
+class TestDilationMoments:
+    """One kernel call over many dilations equals one call per dilation.
+    The chopped polygons of the decomposition corpus are rational."""
+
+    @pytest.mark.parametrize("polygon", [
+        *delzant_corpus(size=12),
+        *(d.chopped for d in decomposition_corpus(max_count=6)),
+        SEVENTHS,
+    ], ids=lambda polygon: polygon.vertex_text())
+    def test_matches_separate_calls_and_brute_force(self, polygon):
+        dilations = range(1, 7)
+        fused = list(_dilation_moments(polygon, dilations))
+        assert fused == [lattice_moments(polygon, i) for i in dilations]
+        assert fused == [_brute_moments(polygon, i) for i in dilations]
+
+    def test_zero_row_dilations_between_others(self):
+        coords = coords_of(SEVENTHS)
+        assert [brute.scan_rows(coords, i) for i in range(1, 8)] == [0, 1, 0, 1, 0, 1, 2]
+        assert list(_dilation_moments(SEVENTHS, range(1, 8))) == [
+            (0, 0, 0), (2, 1, 2), (0, 0, 0), (3, 3, 6), (0, 0, 0), (4, 6, 12), (9, 28, 28)
+        ]
+
+    @pytest.mark.parametrize("dilations", [(5, 7), (7, 5), (3, 3, 1)])
+    def test_any_dilation_sequence(self, hexagon, dilations):
+        for polygon in (hexagon, SEVENTHS):
+            assert list(_dilation_moments(polygon, dilations)) == [
+                _brute_moments(polygon, i) for i in dilations
+            ]
+
+    def test_each_dilation_charged_before_its_own_scan(self, monkeypatch):
+        # 2 rows at i = 7 and none at i = 1 .. 5: a cap of 1 refuses the
+        # seventh dilation only when the call reaches it
+        monkeypatch.setenv("POLYCHOW_MAX_ENUM", "1")
+        moments = _dilation_moments(SEVENTHS, range(1, 8))
+        assert [next(moments) for _ in range(6)][-2:] == [(0, 0, 0), (4, 6, 12)]
+        with pytest.raises(EnumerationLimitExceeded, match="^enumeration scans 2 rows, over the cap of 1 "):
+            next(moments)
+
+    def test_nonpositive_dilation_refused_when_reached(self, unit_square):
+        moments = _dilation_moments(unit_square, (1, 0))
+        assert next(moments) == (4, 2, 2)
+        with pytest.raises(ValueError, match="^dilation factor must be a positive integer$"):
+            next(moments)
+
+    def test_nonpositive_dilation_checked_before_the_cap(self, unit_square, monkeypatch):
+        monkeypatch.setenv("POLYCHOW_MAX_ENUM", "soon")
+        with pytest.raises(ValueError):
+            lattice_moments(unit_square, 0)
+        with pytest.raises(EnumerationLimitExceeded, match="is not an integer: 'soon'"):
+            lattice_moments(unit_square, 1)
 
 
 class TestEhrhart:

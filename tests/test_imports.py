@@ -130,7 +130,7 @@ def _functions_and_uses(
 def test_no_dead_private_functions():
     defined, used = _functions_and_uses()
     private = {name for name in defined if name.startswith("_")}
-    assert "_charge_rows" in private
+    assert "_dilation_moments" in private
     assert sorted(private - used) == []
 
 
