@@ -172,20 +172,20 @@ def _dilation_moments(polygon: Polygon, dilations: Iterable[int]) -> Iterator[tu
         if n > budget:
             raise _over_cap(f"enumeration scans {n} rows", budget)
         count, sx2, sy = n, 0, (start + stop - 1) * n // 2
-        try:
-            for chain, sign in ((right, 1), (left, -1)):
-                y0 = start
-                for top, a, c, b in chain:
-                    y1 = top * i // scale
+        for chain, sign in ((right, 1), (left, -1)):
+            y0 = start
+            for top, a, c, b in chain:
+                y1 = top * i // scale
+                try:
                     f, f2, tf = _floor_sums(a * i + c * y0, c, b, y1 - y0 + 1)
-                    count += f
-                    sx2 += sign * (f2 + f)
-                    sy += y0 * f + tf
-                    y0 = y1 + 1
-        except RecursionError:
-            raise EnumerationLimitExceeded(
-                f"floor sums over {n} rows recurse past the interpreter's limit"
-            ) from None
+                except RecursionError:
+                    raise EnumerationLimitExceeded(
+                        f"floor sums over {n} rows recurse past the interpreter's limit"
+                    ) from None
+                count += f
+                sx2 += sign * (f2 + f)
+                sy += y0 * f + tf
+                y0 = y1 + 1
         yield count, sx2 // 2, sy
 
 

@@ -210,8 +210,8 @@ class TestDilationMoments:
             ]
 
     def test_each_dilation_charged_before_its_own_scan(self, monkeypatch):
-        # 2 rows at i = 7 and none at i = 1 .. 5: a cap of 1 refuses the
-        # seventh dilation only when the call reaches it
+        # at most 1 row at i = 1 .. 6 and 2 at i = 7: a cap of 1 refuses
+        # the seventh dilation only when the call reaches it
         monkeypatch.setenv("POLYCHOW_MAX_ENUM", "1")
         moments = _dilation_moments(SEVENTHS, range(1, 8))
         assert [next(moments) for _ in range(6)][-2:] == [(0, 0, 0), (4, 6, 12)]
