@@ -72,6 +72,26 @@ def contains(coords, x: Fraction, y: Fraction) -> bool:
     return True
 
 
+def closed_triangles_meet(a, b) -> bool:
+    """Whether two closed triangles, three coordinate pairs each in either
+    orientation, share a point. Disjoint convex polygons are separated by
+    the line through an edge of one of them, so they are disjoint exactly
+    when one triangle lies in the open outside of an edge of the other."""
+
+    def counter_clockwise(coords):
+        pts = frac_points(coords)
+        return pts if shoelace_area(pts) > 0 else pts[::-1]
+
+    def separated_by_edge_of(p, q) -> bool:
+        return any(
+            all((sx - rx) * (y - ry) - (sy - ry) * (x - rx) < 0 for x, y in q)
+            for (rx, ry), (sx, sy) in zip(p, p[1:] + p[:1])
+        )
+
+    a, b = counter_clockwise(a), counter_clockwise(b)
+    return not (separated_by_edge_of(a, b) or separated_by_edge_of(b, a))
+
+
 def enumerate_points(coords, i: int) -> list[tuple[int, int]]:
     """Integer points of the i-th dilation by exhaustive membership test."""
     scaled = [(Fraction(x) * i, Fraction(y) * i) for x, y in coords]

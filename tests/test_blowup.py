@@ -171,6 +171,35 @@ class TestChopCorners:
             chop_corners(octagon, [CornerCut.of(v, depth) for v, depth in cuts])
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "coords, cuts, message",
+        [
+            # opposite corners share no edge, so their cuts never meet
+            ([(0, 0), (2, 0), (2, 2), (0, 2)], [((0, 0), "3/2"), ((2, 2), "3/2")], None),
+            # each cut is checked against its edges before any pair is compared
+            (
+                [(0, 0), (3, 0), (0, 3)],
+                [((0, 0), 2), ((3, 0), 1), ((0, 3), 3)],
+                "CutThroughEdge: cut of depth 3 at (0, 3) reaches the edge towards (0, 0)",
+            ),
+            # all three pairs meet; the first in list order is named
+            (
+                [(0, 0), (3, 0), (0, 3)],
+                [((0, 3), 2), ((0, 0), 2), ((3, 0), 2)],
+                "OverlappingCuts: cuts at (0, 3) and (0, 0) intersect",
+            ),
+        ],
+    )
+    def test_refusal_order(self, coords, cuts, message):
+        base = Polygon.from_coords(coords)
+        cuts = [CornerCut.of(v, Fraction(depth)) for v, depth in cuts]
+        if message is None:
+            assert len(chop_corners(base, cuts).simplices) == len(cuts)
+            return
+        with pytest.raises(PolychowError) as excinfo:
+            chop_corners(base, cuts)
+        assert f"{type(excinfo.value).__name__}: {excinfo.value}" == message
+
     def test_blunt_corner_named_as_pair(self):
         from polychow import NotDelzant
 

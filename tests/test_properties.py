@@ -13,6 +13,7 @@ from corpus import decomposition_corpus, delzant_corpus, random_unimodular
 from polychow import (
     AffineMap,
     CornerCut,
+    CutThroughEdge,
     DegeneratePolytope,
     EnumerationLimitExceeded,
     GroupClosureOverflow,
@@ -245,6 +246,98 @@ def test_chop_scale_is_the_lcm_of_the_depths(polygon, s, raw_cuts):
         assert [v, q, r] == [(k * p.x, k * p.y) for p in (cut.vertex, *seam)]
     if k == 1:
         assert d.scaled_base() is d.base and d.scaled_chopped() is d.chopped
+
+
+def _smooth_corner_steps(coords):
+    """Per vertex, the lattice lengths of the edges towards the next and
+    the previous vertex, and whether its primitive edge directions form a
+    lattice basis (the corner is smooth), from the oracle's edge data."""
+    lengths = [length for length, _ in brute.edge_lattice_data(coords)]
+    corners = []
+    for idx, (vx, vy) in enumerate(coords):
+        (nx, ny), (px, py) = coords[(idx + 1) % len(coords)], coords[idx - 1]
+        ahead, behind = lengths[idx], lengths[idx - 1]
+        det = ((nx - vx) * (py - vy) - (ny - vy) * (px - vx)) / (ahead * behind)
+        corners.append((ahead, behind, det == 1))
+    return corners
+
+
+@st.composite
+def cut_bases(draw):
+    """A base and a list of cuts at distinct smooth corners, in drawn
+    order, each of depth up to one step past its shorter edge. The base
+    is a corpus Delzant polygon scaled by 1/s, or a random lattice polygon
+    with at least two smooth corners."""
+    if draw(st.booleans()):
+        s = draw(st.integers(1, 3))
+        base = canonicalize(v * Fraction(1, s) for v in draw(st.sampled_from(CORPUS)).vertices)
+    else:
+        points = draw(st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=7
+        ))
+        try:
+            base = canonicalize([Vec2.of(x, y) for x, y in points])
+        except DegeneratePolytope:
+            assume(False)
+    corners = _smooth_corner_steps([v.as_tuple() for v in base.vertices])
+    smooth = [idx for idx, (_, _, is_smooth) in enumerate(corners) if is_smooth]
+    assume(len(smooth) >= 2)
+    chosen = draw(st.permutations(smooth))[:draw(st.integers(2, len(smooth)))]
+    # in one list of four, one of the cuts reaches its shorter edge or one
+    # step past
+    reaching = draw(st.sampled_from([*chosen, *[None] * (3 * len(chosen))]))
+    cuts = []
+    for idx in chosen:
+        shortest = min(corners[idx][:2])
+        denominator = draw(st.integers(2, 6))
+        steps = draw(st.sampled_from(
+            range(denominator, denominator + 2) if idx == reaching else range(1, denominator)
+        ))
+        cuts.append(CornerCut(base.vertex(idx), shortest * Fraction(steps, denominator)))
+    return base, cuts
+
+
+@given(cut_bases())
+@settings(max_examples=120, deadline=None)
+def test_overlap_refusal_matches_closed_triangle_oracle(base_and_cuts):
+    # each cut is the triangle of v and the points `depth` lattice steps
+    # along both edges at v; the first pair in list order whose closed
+    # triangles meet under the oracle is the pair refused
+    base, cuts = base_and_cuts
+    coords = [v.as_tuple() for v in base.vertices]
+    corners = _smooth_corner_steps(coords)
+    triangles = []
+    for cut in cuts:
+        idx = base.index_of(cut.vertex)
+        ahead, behind, _ = corners[idx]
+        if cut.depth >= min(ahead, behind):
+            with pytest.raises(CutThroughEdge):
+                chop_corners(base, cuts)
+            return
+        (vx, vy), (nx, ny), (px, py) = (coords[(idx + j) % len(coords)] for j in (0, 1, -1))
+        triangles.append([
+            (vx, vy),
+            (vx + cut.depth * (nx - vx) / ahead, vy + cut.depth * (ny - vy) / ahead),
+            (vx + cut.depth * (px - vx) / behind, vy + cut.depth * (py - vy) / behind),
+        ])
+    meeting = [
+        (a, b)
+        for a in range(len(cuts))
+        for b in range(a + 1, len(cuts))
+        if brute.closed_triangles_meet(triangles[a], triangles[b])
+    ]
+    if meeting:
+        a, b = meeting[0]
+        with pytest.raises(OverlappingCuts) as excinfo:
+            chop_corners(base, cuts)
+        assert str(excinfo.value) == (
+            f"cuts at {cuts[a].vertex.text()} and {cuts[b].vertex.text()} intersect"
+        )
+    else:
+        d = chop_corners(base, cuts)
+        assert [sorted(v.as_tuple() for v in s.vertices) for s in d.simplices] == [
+            sorted(triangle) for triangle in triangles
+        ]
 
 
 @given(
