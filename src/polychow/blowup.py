@@ -144,21 +144,6 @@ def _cut_text(cuts: tuple[CornerCut, ...]) -> str:
     return "[" + ", ".join(f"{cut.vertex.text()} at depth {cut.depth}" for cut in cuts) + "]"
 
 
-def _triangles_disjoint(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bool:
-    """Exact separating-axis test for closed convex polygons, given as
-    counter-clockwise integer vertex cycles at one common scale."""
-
-    def separated_by_edge_of(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bool:
-        for (px, py), (qx, qy) in zip(a, a[1:] + a[:1]):
-            dx, dy = qx - px, qy - py
-            # b entirely in the open outside of edge (p, q)?
-            if all(dx * (wy - py) - dy * (wx - px) < 0 for wx, wy in b):
-                return True
-        return False
-
-    return separated_by_edge_of(a, b) or separated_by_edge_of(b, a)
-
-
 def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -> Decomposition:
     """Chop the given corners off the base polygon and validate the result.
 
@@ -169,6 +154,10 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
     The chopped polygon's Delzant status at scale k is reported as a flag,
     not an error: the invariants still evaluate, and callers can decide
     how much to trust them.
+
+    The cuts are valid when each depth is under the lattice length of both
+    edges at its vertex, and two cuts at the ends of one edge leave part
+    of it: their depths sum to less than its lattice length.
 
     The seam points, the cut simplices, the hull walk of the chopped
     polygon and the scaled polygons are computed on integer vertices at
@@ -221,14 +210,18 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
         (nx, ny), (px, py) = frame.columns()
         seam_points[idx] = ((vx + nx * depth, vy + ny * depth), (vx + px * depth, vy + py * depth))
 
-    triangles = [_hull([verts[idx], *seam_points[idx]]) for idx in indices]
-    for a in range(len(triangles)):
-        for b in range(a + 1, len(triangles)):
-            if not _triangles_disjoint(triangles[a], triangles[b]):
+    # Cut a lies strictly on v_a's side of the chord through its seam
+    # points, and every other base vertex strictly on the far side. So cuts
+    # at vertices that share no edge never meet, and for two that share an
+    # edge the same chord separates them unless their depths fill the edge.
+    for a, (ia, ma) in enumerate(zip(indices, m)):
+        for b in range(a + 1, len(cuts)):
+            (ax, ay), (bx, by) = verts[ia], verts[indices[b]]
+            if (ia - indices[b]) % n in (1, n - 1) and ma + m[b] >= gcd(bx - ax, by - ay):
                 raise OverlappingCuts(
                     f"cuts at {cuts[a].vertex.text()} and {cuts[b].vertex.text()} intersect"
                 )
-    simplices = tuple(_from_integers(k, triangle) for triangle in triangles)
+    simplices = tuple(_from_integers(k, _hull([verts[idx], *seam_points[idx]])) for idx in indices)
 
     walk: list[tuple[int, int]] = []
     for idx in range(n):

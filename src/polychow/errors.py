@@ -53,7 +53,7 @@ class CutThroughEdge(PolychowError):
 
 
 class OverlappingCuts(PolychowError):
-    """Two corner simplices intersect."""
+    """Two cuts at the ends of one edge have depths that fill its lattice length."""
 
 
 class VerificationMismatch(PolychowError):

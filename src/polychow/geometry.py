@@ -439,8 +439,7 @@ def _hull(pts: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 def canonicalize(points: Iterable[Vec2]) -> Polygon:
     """Convex hull in canonical form.
 
-    Interior points and collinear triples are dropped silently (corner cuts
-    can produce seam vertices that line up with an old edge). Raises
+    Interior points and collinear triples are dropped silently. Raises
     DegeneratePolytope when the hull has no area.
     """
     unique = list(set(points))
