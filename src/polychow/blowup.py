@@ -157,28 +157,28 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
 
     The cuts are valid when each depth is under the lattice length of both
     edges at its vertex, and two cuts at the ends of one edge leave part
-    of it: their depths sum to less than its lattice length.
+    of it: their depths sum to less than its lattice length. So each cut
+    is checked against the cuts at its two neighbouring vertices only,
+    and validation is linear in the cuts.
 
-    The seam points, the cut simplices, the hull walk of the chopped
-    polygon and the scaled polygons are computed on integer vertices at
-    scale k. The seams are returned as Fraction points, and each cut's
-    vertex and seam also as integer pairs at k, which the blow-up sums
-    read. Every refusal of an inconsistent result names the base and the
-    cuts.
+    The seam points, the cut simplices, the chopped polygon (the hull of
+    the uncut vertices and the seam points) and the scaled polygons are
+    computed on integer vertices at scale k. The seams are returned as
+    Fraction points, and each cut's vertex and seam also as integer pairs
+    at k, which the blow-up sums read. Every refusal of an inconsistent
+    result names the base and the cuts.
     """
     cuts = tuple(cuts)
-    indices: list[int] = []
-    seen: set[int] = set()
-    for cut in cuts:
+    position: dict[int, int] = {}  # vertex index in the base -> index in cuts
+    for a, cut in enumerate(cuts):
         idx = base.index_of(cut.vertex)
         if idx is None:
             raise InvalidCutVertex(f"{cut.vertex.text()} is not a vertex of the base polygon")
-        if idx in seen:
+        if idx in position:
             raise InvalidCutVertex(f"vertex {cut.vertex.text()} is cut twice")
-        seen.add(idx)
-        indices.append(idx)
+        position[idx] = a
 
-    frames = tuple(corner_frame(base, idx) for idx in indices)
+    frames = tuple(corner_frame(base, idx) for idx in position)
 
     # The base's vertices and the seam points as integer pairs at scale k,
     # the least common denominator of 1/L0 and the depths, for L0 the
@@ -195,8 +195,8 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
     )
     verts = [(x * up, y * up) for x, y in form.vertices]
     n = len(verts)
-    seam_points: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-    for idx, cut, depth, frame in zip(indices, cuts, m, frames):
+    triangles: list[tuple[tuple[int, int], ...]] = []  # each cut's k*v, k*q, k*r
+    for idx, cut, depth, frame in zip(position, cuts, m, frames):
         vx, vy = verts[idx]
         # seam endpoints must stay strictly inside the adjacent edges: the
         # depth is under the lattice length of each
@@ -207,30 +207,26 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
                     f"cut of depth {cut.depth} at {base.vertex(idx).text()} reaches the edge "
                     f"towards {base.vertex(neighbour).text()}"
                 )
-        (nx, ny), (px, py) = frame.columns()
-        seam_points[idx] = ((vx + nx * depth, vy + ny * depth), (vx + px * depth, vy + py * depth))
+        q, r = ((vx + x * depth, vy + y * depth) for x, y in frame.columns())
+        triangles.append(((vx, vy), q, r))
 
     # Cut a lies strictly on v_a's side of the chord through its seam
     # points, and every other base vertex strictly on the far side. So cuts
     # at vertices that share no edge never meet, and for two that share an
     # edge the same chord separates them unless their depths fill the edge.
-    for a, (ia, ma) in enumerate(zip(indices, m)):
-        for b in range(a + 1, len(cuts)):
-            (ax, ay), (bx, by) = verts[ia], verts[indices[b]]
-            if (ia - indices[b]) % n in (1, n - 1) and ma + m[b] >= gcd(bx - ax, by - ay):
+    # The pairs are met in list order, so the first that meets is named.
+    for a, (ia, ((ax, ay), _, _)) in enumerate(zip(position, triangles)):
+        neighbours = (position.get((ia + step) % n, -1) for step in (1, -1))
+        for b in sorted(b for b in neighbours if b > a):
+            (bx, by), _, _ = triangles[b]
+            if m[a] + m[b] >= gcd(bx - ax, by - ay):
                 raise OverlappingCuts(
                     f"cuts at {cuts[a].vertex.text()} and {cuts[b].vertex.text()} intersect"
                 )
-    simplices = tuple(_from_integers(k, _hull([verts[idx], *seam_points[idx]])) for idx in indices)
+    simplices = tuple(_from_integers(k, _hull(triangle)) for triangle in triangles)
 
-    walk: list[tuple[int, int]] = []
-    for idx in range(n):
-        if idx in seam_points:
-            q, r = seam_points[idx]
-            walk.extend([r, q])  # arrive along the previous edge, leave along the next
-        else:
-            walk.append(verts[idx])
-    chopped = _from_integers(k, _hull(walk))
+    uncut = [v for idx, v in enumerate(verts) if idx not in position]
+    chopped = _from_integers(k, _hull(uncut + [p for _, *seam in triangles for p in seam]))
     if denominator_lcm(chopped) != k:
         raise InternalInconsistency(
             f"chopped polygon {chopped.vertex_text()} of base {base.vertex_text()} cut at "
@@ -260,8 +256,8 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
         chopped=chopped,
         simplices=simplices,
         seams=tuple(
-            tuple(Vec2(Fraction(x, k), Fraction(y, k)) for x, y in seam_points[idx])
-            for idx in indices
+            tuple(Vec2(Fraction(x, k), Fraction(y, k)) for x, y in seam)
+            for _, *seam in triangles
         ),
         frames=frames,
         k=k,
@@ -273,7 +269,7 @@ def chop_corners(base: Polygon, cuts: list[CornerCut] | tuple[CornerCut, ...]) -
         chopped_scaled_delzant=is_delzant(scaled_chopped),
         _scaled_base=scaled_base,
         _scaled_chopped=scaled_chopped,
-        _cut_points=tuple((verts[idx], *seam_points[idx]) for idx in indices),
+        _cut_points=tuple(triangles),
     )
 
 

@@ -336,8 +336,9 @@ class Polygon:
     consecutive vertices collinear, counter-clockwise orientation, first
     vertex lexicographically smallest. Use `canonicalize` to build one from
     arbitrary points. A polygon stores only its integer form `integer`,
-    which gives its equality and its hash. The `Fraction` vertices are
-    built from it on first access and kept in the instance `__dict__`.
+    which gives its equality and its hash. The `Fraction` vertices and the
+    vertex index of `index_of` are built from it on first use and kept in
+    the instance `__dict__`.
     `_sum_constant` is 12 times the point-sum constant, stored once the
     gate of `counting._counting_and_sum_polys` has passed on this object,
     and None before. Assigning to any attribute raises AttributeError.
@@ -379,14 +380,17 @@ class Polygon:
     def vertex(self, i: int) -> Vec2:
         return self.vertices[i % len(self)]
 
+    @cached_property
+    def _vertex_index(self) -> dict[tuple[int, int], int]:
+        return dict(zip(self.integer.vertices, range(len(self))))
+
     def index_of(self, v: Vec2) -> int | None:
-        """Position of v in the vertex cycle, compared at the polygon's scale."""
+        """Position of v in the vertex cycle, compared at the polygon's
+        scale, from a map of integer vertex to index built on the first call."""
         form = self.integer
         x, x_rest = divmod(v.x.numerator * form.scale, v.x.denominator)
         y, y_rest = divmod(v.y.numerator * form.scale, v.y.denominator)
-        if x_rest or y_rest or (x, y) not in form.vertices:
-            return None
-        return form.vertices.index((x, y))
+        return None if x_rest or y_rest else self._vertex_index.get((x, y))
 
     def edges(self) -> list[tuple[Vec2, Vec2]]:
         return list(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))

@@ -79,6 +79,29 @@ def delzant_corpus(size: int = 60, seed: int = 20240611) -> list[Polygon]:
     return result
 
 
+def farey_fan(order: int) -> Polygon:
+    """The lattice polygon whose edge vectors, counter-clockwise, are (b, a)
+    and then (a, b) for the Farey fractions a/b of the given order, turned
+    through all four quadrants. Farey neighbours a/b < c/d have
+    b*c - a*d = 1, so consecutive edges have determinant 1: every corner
+    is smooth and every edge has lattice length 1. Order 48 gives 5696
+    vertices."""
+    fractions = [(0, 1), (1, order)]
+    while fractions[-1] != (1, 1):
+        (a, b), (c, d) = fractions[-2:]
+        step = (order + b) // d
+        fractions.append((step * c - a, step * d - b))
+    quadrant = [(b, a) for a, b in fractions] + [(a, b) for a, b in reversed(fractions[1:-1])]
+    points, x, y = [], 0, 0
+    for turn in range(4):
+        for dx, dy in quadrant:
+            for _ in range(turn):
+                dx, dy = -dy, dx
+            points.append((x, y))
+            x, y = x + dx, y + dy
+    return Polygon.from_coords(points)
+
+
 def decomposition_corpus(seed: int = 20240612, max_count: int = 12):
     """Valid corner-chop decompositions over small Delzant bases."""
     rng = random.Random(seed)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 import brute
-from corpus import decomposition_corpus, random_affine
+from corpus import decomposition_corpus, farey_fan, random_affine
 from polychow import (
     AffineMap,
     BlowupVerification,
@@ -133,6 +134,28 @@ class TestChopCorners:
         with pytest.raises(OverlappingCuts):
             chop_corners(cp2_triangle, cuts)
 
+    def test_every_corner_of_a_large_polygon_cut(self):
+        # two cuts meet only across the edge they share, so each cut is
+        # checked against its two neighbours and 5696 cuts validate at once
+        base = farey_fan(48)
+        cuts = [CornerCut(v, Fraction(1, 3)) for v in base.vertices]
+        started = time.monotonic()
+        d = chop_corners(base, cuts)
+        assert time.monotonic() - started < 1.0
+        assert (d.k, len(d.chopped)) == (3, 2 * len(base))
+        assert d.chopped_scaled_delzant
+
+    def test_last_two_cuts_of_a_large_polygon_overlapping(self):
+        base = farey_fan(48)
+        cuts = [CornerCut(v, Fraction(1, 3)) for v in base.vertices[:-2]]
+        cuts += [CornerCut(v, HALF) for v in base.vertices[-2:]]
+        started = time.monotonic()
+        with pytest.raises(OverlappingCuts) as excinfo:
+            chop_corners(base, cuts)
+        assert time.monotonic() - started < 1.0
+        first, second = (cut.vertex.text() for cut in cuts[-2:])
+        assert str(excinfo.value) == f"cuts at {first} and {second} intersect"
+
     def test_nonpositive_depth_rejected(self):
         with pytest.raises(InvalidCutDepth):
             CornerCut.of((0, 0), 0)
@@ -187,6 +210,19 @@ class TestChopCorners:
                 [(0, 0), (3, 0), (0, 3)],
                 [((0, 3), 2), ((0, 0), 2), ((3, 0), 2)],
                 "OverlappingCuts: cuts at (0, 3) and (0, 0) intersect",
+            ),
+            # the partner is named by list order, whichever side of the
+            # first cut's vertex it sits on: here the next vertex ...
+            (
+                [(0, 0), (3, 0), (0, 3)],
+                [((3, 0), 2), ((0, 3), 2), ((0, 0), 2)],
+                "OverlappingCuts: cuts at (3, 0) and (0, 3) intersect",
+            ),
+            # ... and here the previous one
+            (
+                [(0, 0), (3, 0), (0, 3)],
+                [((3, 0), 2), ((0, 0), 2), ((0, 3), 2)],
+                "OverlappingCuts: cuts at (3, 0) and (0, 0) intersect",
             ),
         ],
     )

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from corpus import farey_fan
 from polychow.cli import main
 from polychow.errors import VerificationMismatch
 from polychow.geometry import Vec2
@@ -489,6 +490,31 @@ class TestBudget:
         assert captured.out == ""
         assert captured.err.startswith("error: EnumerationLimitExceeded: enumeration scans ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "{fan}"],
+            ["ehrhart", "{fan}", "--poly"],
+            ["chow", "{fan}", "--poly"],
+            ["fo", "{fan}", "--i", "2"],
+            ["blowup", "{fan}", "--cuts", "{cuts}", "--verify", "--imax", "3"],
+        ],
+    )
+    def test_large_delzant_polygon_bounded(self, tmp_path, monkeypatch, argv):
+        # 5696 smooth corners, every one cut in the blow-up
+        monkeypatch.delenv("POLYCHOW_MAX_ENUM", raising=False)
+        fan = farey_fan(48)
+        vertices = [[str(c) for c in v] for v in fan.vertices]
+        files = {
+            "fan": write(tmp_path, "fan.json", {"vertices": vertices}),
+            "cuts": write(tmp_path, "cuts.json", {
+                "cuts": [{"vertex": v, "depth": "1/3"} for v in vertices]
+            }),
+        }
+        started = time.monotonic()
+        assert main([a.format(**files) for a in argv]) == 0
+        assert time.monotonic() - started < 2.0
 
     def test_floor_sums_past_recursion_limit_exit_one(self, capsys, tmp_path, monkeypatch):
         # a raised cap admits 10^313 rows on golden-ratio slopes, whose floor

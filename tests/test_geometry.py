@@ -7,6 +7,7 @@ import pytest
 
 import brute
 from conftest import quadrilateral
+from corpus import farey_fan
 from polychow import (
     AffineMap,
     CornerCut,
@@ -229,6 +230,17 @@ class TestStoredForm:
         for polygon, coords in zip(polygons, expected, strict=True):
             assert polygon.vertices == tuple(vecs(coords))
             assert "vertices" in vars(polygon)
+
+    def test_index_of_builds_no_vertices(self):
+        polygon = farey_fan(48)
+        pts = polygon.integer.vertices
+        assert polygon.integer.scale == 1
+        assert all(polygon.index_of(Vec2.of(x, y)) == i for i, (x, y) in enumerate(pts))
+        (x, y), inside = pts[0], (pts[0][0] + 1, pts[0][1] + 1)
+        assert inside not in pts
+        assert polygon.index_of(Vec2.of(x + Fraction(1, 2), y)) is None
+        assert polygon.index_of(Vec2.of(*inside)) is None
+        assert "vertices" not in vars(polygon)
 
     def test_hash_builds_no_vertices(self, hexagon):
         polygon = scale(hexagon, 3)
