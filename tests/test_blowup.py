@@ -136,7 +136,7 @@ class TestChopCorners:
 
     def test_every_corner_of_a_large_polygon_cut(self):
         # two cuts meet only across the edge they share, so each cut is
-        # checked against its two neighbours and 5696 cuts validate at once
+        # checked against its two neighbours: 5696 cuts validate in linear time
         base = farey_fan(48)
         cuts = [CornerCut(v, Fraction(1, 3)) for v in base.vertices]
         started = time.monotonic()
